@@ -17,9 +17,7 @@ from .data import (DEFAULT_PHASE_DURATIONS, ManifestEntry, SyntheticSpec,
                    generate_synthetic_video, load_features, save_features,
                    write_annotations, write_manifest)
 from .errors import ConfigError, VitalsError
-from .model import model_forward
-from .tensor import Tensor
-from .train import (evaluate, load_checkpoint, load_manifest, model_config_from_train,
+from .train import (evaluate, infer, load_checkpoint, load_manifest, model_config_from_train,
                     parse_config, save_checkpoint, train)
 
 
@@ -59,7 +57,8 @@ def _build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference check of all ops")
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--corrupt", metavar="OP",
-                   help="negative-control fixture: break OP's backward")
+                   help="negative-control fixture: break OP's backward; OP is one of "
+                        + ", ".join(gc.OPS))
     return parser
 
 
@@ -147,13 +146,7 @@ def cmd_eval(args):
 def cmd_predict(args):
     ckpt = load_checkpoint(args.checkpoint)
     seq = load_features(args.features)
-    if seq.d != ckpt.model_config.input_dim:
-        raise ConfigError(
-            f"{args.features}: feature dim {seq.d} != checkpoint input_dim "
-            f"{ckpt.model_config.input_dim}"
-        )
-    params = {k: Tensor(a) for k, a in ckpt.params.items()}
-    preds = model_forward(Tensor(seq.data), params, ckpt.model_config, training=False)
+    preds = infer(ckpt, seq.data, args.features)
     write_annotations(args.out, preds.argmax(-1))
     if args.dump_stages:
         stem = Path(args.out)

@@ -5,8 +5,11 @@ differences on random 64-bit inputs and returns the max relative error.
 The suite also checks a tiny end-to-end model (2 encoder blocks, 1 decoder)
 through the full combined loss.
 
-`corrupt=<op>` deliberately breaks that op's recorded backward (gradients
-scaled by 1.5) and is used as a negative control by the CLI and tests.
+Each check builds a function and its inputs; `run_suite` hands them to the
+finite-difference harness. `corrupt=<op>` deliberately breaks the backward of
+every tape node recorded under that op name (gradients scaled by 1.5) after
+the function's forward and before the backward sweep; it is the negative
+control used by the CLI and tests.
 """
 
 from __future__ import annotations
@@ -20,12 +23,10 @@ from .tensor import Tensor, finite_difference_check
 
 THRESHOLD = 1e-3
 
-# op name -> module holding it, for the corruption fixture
-_OP_HOMES = {name: T for name in (
-    "matmul", "add", "add_row", "mul", "scale", "relu", "sum_all", "concat_cols",
-    "softmax_rows", "dropout", "dilated_conv1d", "chunked_attention",
-)}
-_OP_HOMES.update({"cross_entropy_loss": mdl, "smoothing_loss": mdl})
+# the op names tape nodes are recorded under; each has a check of its own name
+OPS = ("matmul", "add", "add_row", "mul", "scale", "relu", "sum_all", "concat_cols",
+       "softmax_rows", "dropout", "dilated_conv1d", "chunked_attention",
+       "cross_entropy_loss", "smoothing_loss")
 
 
 def _t(rng, *shape):
@@ -33,77 +34,74 @@ def _t(rng, *shape):
 
 
 def _check_matmul(rng, seed):
-    return finite_difference_check(T.matmul, [_t(rng, 3, 4), _t(rng, 4, 2)], seed=seed)
+    return T.matmul, [_t(rng, 3, 4), _t(rng, 4, 2)]
 
 
 def _check_add(rng, seed):
-    return finite_difference_check(T.add, [_t(rng, 3, 4), _t(rng, 3, 4)], seed=seed)
+    return T.add, [_t(rng, 3, 4), _t(rng, 3, 4)]
 
 
 def _check_add_row(rng, seed):
-    return finite_difference_check(T.add_row, [_t(rng, 5, 3), _t(rng, 3)], seed=seed)
+    return T.add_row, [_t(rng, 5, 3), _t(rng, 3)]
 
 
 def _check_mul(rng, seed):
-    return finite_difference_check(T.mul, [_t(rng, 4, 3), _t(rng, 4, 3)], seed=seed)
+    return T.mul, [_t(rng, 4, 3), _t(rng, 4, 3)]
 
 
 def _check_scale(rng, seed):
-    return finite_difference_check(lambda x: T.scale(x, -0.7), [_t(rng, 4, 2)], seed=seed)
+    return lambda x: T.scale(x, -0.7), [_t(rng, 4, 2)]
 
 
 def _check_relu(rng, seed):
     # keep values away from the kink where the derivative is undefined
     x = _t(rng, 5, 4)
     x.data[np.abs(x.data) < 0.05] += 0.1
-    return finite_difference_check(T.relu, [x], seed=seed)
+    return T.relu, [x]
 
 
 def _check_sum_all(rng, seed):
-    return finite_difference_check(T.sum_all, [_t(rng, 6, 2)], seed=seed)
+    return T.sum_all, [_t(rng, 6, 2)]
 
 
 def _check_concat_cols(rng, seed):
-    return finite_difference_check(lambda a, b, c: T.concat_cols([a, b, c]),
-                                   [_t(rng, 4, 2), _t(rng, 4, 3), _t(rng, 4, 1)], seed=seed)
+    return lambda a, b, c: T.concat_cols([a, b, c]), [_t(rng, 4, 2), _t(rng, 4, 3), _t(rng, 4, 1)]
 
 
 def _check_softmax_rows(rng, seed):
-    return finite_difference_check(T.softmax_rows, [_t(rng, 5, 4)], seed=seed)
+    return T.softmax_rows, [_t(rng, 5, 4)]
 
 
 def _check_dropout(rng, seed):
     fn = lambda x: T.dropout(x, 0.4, rng=seed, training=True)  # fixed mask per seed
-    return finite_difference_check(fn, [_t(rng, 6, 5)], seed=seed)
+    return fn, [_t(rng, 6, 5)]
 
 
 def _check_dilated_conv1d(rng, seed):
     fn = lambda x, k: T.dilated_conv1d(x, k, 4)
-    return finite_difference_check(fn, [_t(rng, 16, 3), _t(rng, 3, 3, 2)], seed=seed)
+    return fn, [_t(rng, 16, 3), _t(rng, 3, 3, 2)]
 
 
 def _check_chunked_attention(rng, seed):
     fn = lambda q, k, v: T.chunked_attention(q, k, v, 4)
-    return finite_difference_check(fn, [_t(rng, 9, 4), _t(rng, 9, 4), _t(rng, 9, 4)], seed=seed)
+    return fn, [_t(rng, 9, 4), _t(rng, 9, 4), _t(rng, 9, 4)]
 
 
 def _check_self_attention(rng, seed):
     fn = lambda f, wq, wk, wv, wo: mdl.windowed_self_attention(f, 3, wq, wk, wv, wo)
-    args = [_t(rng, 7, 4)] + [_t(rng, 4, 4) for _ in range(4)]
-    return finite_difference_check(fn, args, seed=seed)
+    return fn, [_t(rng, 7, 4)] + [_t(rng, 4, 4) for _ in range(4)]
 
 
 def _check_cross_attention(rng, seed):
     fn = lambda u, f, wq, wk, wv, wo: mdl.cross_attention(u, f, 3, wq, wk, wv, wo)
-    args = [_t(rng, 7, 4), _t(rng, 7, 4)] + [_t(rng, 4, 4) for _ in range(4)]
-    return finite_difference_check(fn, args, seed=seed)
+    return fn, [_t(rng, 7, 4), _t(rng, 7, 4)] + [_t(rng, 4, 4) for _ in range(4)]
 
 
 def _check_cross_entropy(rng, seed):
     labels = rng.integers(0, 4, size=8)
     weights = rng.uniform(0.5, 2.0, size=4)
     fn = lambda z: cross_entropy_loss(z, labels, weights)
-    return finite_difference_check(fn, [_t(rng, 8, 4)], seed=seed)
+    return fn, [_t(rng, 8, 4)]
 
 
 def _check_smoothing_loss(rng, seed):
@@ -112,8 +110,7 @@ def _check_smoothing_loss(rng, seed):
     z = _t(rng, 8, 3)
     zs = z.data - z.data.max(axis=1, keepdims=True)
     ref = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
-    return finite_difference_check(lambda t: smoothing_loss(t, clamp=4.0, prev_ref=ref),
-                                   [z], seed=seed)
+    return lambda t: smoothing_loss(t, clamp=4.0, prev_ref=ref), [z]
 
 
 def _tiny_config():
@@ -126,20 +123,11 @@ def _tiny_config():
 
 
 def _relu_margin(fn):
-    """Smallest |relu input| reached while evaluating fn()."""
-    margins = []
-    orig = T.relu
-
-    def probe(x):
-        margins.append(float(np.abs(x.data).min()))
-        return orig(x)
-
-    T.relu = probe
-    try:
+    """Smallest |relu input| recorded on a tape while evaluating fn()."""
+    with T.Tape() as tape:
         fn()
-    finally:
-        T.relu = orig
-    return min(margins) if margins else np.inf
+    return min((float(np.abs(node.inputs[0].data).min())
+                for node in tape.nodes if node.op == "relu"), default=np.inf)
 
 
 def _check_end_to_end(rng, seed):
@@ -171,7 +159,7 @@ def _check_end_to_end(rng, seed):
         fn = make_fn(params, labels)
         if _relu_margin(lambda: fn(E, *params.values())) > 1e-3:
             break
-    return finite_difference_check(fn, [E] + list(params.values()), seed=seed)
+    return fn, [E] + list(params.values())
 
 
 CHECKS = {
@@ -195,44 +183,42 @@ CHECKS = {
 }
 
 
-def _broken(fn):
-    """Wrap an op so its recorded backward returns gradients scaled by 1.5."""
+def _corrupting(fn, op):
+    """fn, with every `op` node it records made to return 1.5x its gradients."""
 
-    def wrapped(*args, **kwargs):
-        out = fn(*args, **kwargs)
+    def scaled(backward_fn):
+        return lambda dout: tuple(None if g is None else g * 1.5 for g in backward_fn(dout))
+
+    def run(*args):
         tape = T.active_tape()
-        if tape is not None and tape.nodes and tape.nodes[-1].output is out:
-            node = tape.nodes[-1]
-            orig = node.backward_fn
-            node.backward_fn = lambda dout: tuple(
-                None if g is None else g * 1.5 for g in orig(dout))
+        if tape is None:
+            return fn(*args)
+        start = len(tape.nodes)
+        out = fn(*args)
+        for node in tape.nodes[start:]:
+            if node.op == op:
+                node.backward_fn = scaled(node.backward_fn)
         return out
 
-    return wrapped
+    return run
 
 
 def run_suite(seeds=10, corrupt=None):
     """Run every check over `seeds` seeds; returns {name: max relative error}.
 
-    `corrupt` names an op whose backward is deliberately broken for the run
-    (negative control; the affected checks must then fail).
+    `corrupt` names an op in OPS whose recorded backward is deliberately
+    broken for the run (negative control; the op's own check, and every
+    check whose function records it, must then fail).
     """
-    patched = None
-    if corrupt is not None:
-        if corrupt not in _OP_HOMES:
-            raise ValueError(f"cannot corrupt unknown op {corrupt!r}")
-        home = _OP_HOMES[corrupt]
-        patched = (home, corrupt, getattr(home, corrupt))
-        setattr(home, corrupt, _broken(patched[2]))
-    try:
-        results = {}
-        for name, check in CHECKS.items():
-            worst = 0.0
-            for seed in range(seeds):
-                rng = np.random.default_rng(1000 + seed)
-                worst = max(worst, check(rng, seed))
-            results[name] = worst
-        return results
-    finally:
-        if patched is not None:
-            setattr(patched[0], patched[1], patched[2])
+    if corrupt is not None and corrupt not in OPS:
+        raise ValueError(f"cannot corrupt unknown op {corrupt!r}; choose one of {', '.join(OPS)}")
+    results = {}
+    for name, build in CHECKS.items():
+        worst = 0.0
+        for seed in range(seeds):
+            fn, inputs = build(np.random.default_rng(1000 + seed), seed)
+            if corrupt is not None:
+                fn = _corrupting(fn, corrupt)
+            worst = max(worst, finite_difference_check(fn, inputs, seed=seed))
+        results[name] = worst
+    return results

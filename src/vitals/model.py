@@ -34,15 +34,12 @@ class ModelConfig:
     dropout_rate: float = 0.3
     smooth_weight: float = 0.15
     smooth_clamp: float = 4.0
-    decoder_query: str = "probs"  # "probs" or "logits" feeding the stage query
 
     def __post_init__(self):
         if self.num_layers < 1 or self.num_decoders < 0:
             raise ParameterError("num_layers >= 1 and num_decoders >= 0 required")
         if self.num_phases < 2 or self.hidden_dim < 1:
             raise ParameterError("num_phases >= 2 and hidden_dim >= 1 required")
-        if self.decoder_query not in ("probs", "logits"):
-            raise ParameterError(f"unknown decoder_query mode {self.decoder_query!r}")
 
     def schedule(self, n: int):
         """Per-block window/dilation sizes: 2^i for i=1..L, capped at n."""
@@ -58,7 +55,6 @@ class ModelConfig:
             "dropout_rate": self.dropout_rate,
             "smooth_weight": self.smooth_weight,
             "smooth_clamp": self.smooth_clamp,
-            "decoder_query": self.decoder_query,
         }
 
     @classmethod
@@ -76,9 +72,6 @@ class StagePredictions:
     @property
     def num_stages(self):
         return len(self.logits)
-
-    def final_logits(self):
-        return self.logits[-1]
 
     def argmax(self, stage=-1):
         return self.probs[stage].data.argmax(axis=1)
@@ -160,10 +153,7 @@ def init_params(config: ModelConfig, seed=0):
 
 def windowed_self_attention(f: Tensor, window: int, wq, wk, wv, wo) -> Tensor:
     """Chunked self-attention over f with output projection wo."""
-    q = T.matmul(f, wq)
-    k = T.matmul(f, wk)
-    v = T.matmul(f, wv)
-    return T.matmul(T.chunked_attention(q, k, v, window), wo)
+    return cross_attention(f, f, window, wq, wk, wv, wo)
 
 
 def cross_attention(u: Tensor, f: Tensor, window: int, wq, wk, wv, wo) -> Tensor:
@@ -181,10 +171,7 @@ def _block(x, query, params, prefix, size, config, training, rng):
     f = T.relu(T.add_row(T.dilated_conv1d(x, params[f"{prefix}.conv.weight"], size),
                          params[f"{prefix}.conv.bias"]))
     wq, wk, wv, wo = (params[f"{prefix}.attn.{p}"] for p in ("wq", "wk", "wv", "wo"))
-    if query is None:
-        a = windowed_self_attention(f, size, wq, wk, wv, wo)
-    else:
-        a = cross_attention(query, f, size, wq, wk, wv, wo)
+    a = cross_attention(f if query is None else query, f, size, wq, wk, wv, wo)
     return T.add(x, T.dropout(a, config.dropout_rate, rng, training))
 
 
@@ -212,12 +199,11 @@ def encoder_forward(E: Tensor, params, config: ModelConfig, training=False, rng=
     return logits, feats
 
 
-def decoder_stage_forward(prev_logits: Tensor, params, stage: int, config: ModelConfig,
+def decoder_stage_forward(prev_probs: Tensor, params, stage: int, config: ModelConfig,
                           training=False, rng=None):
-    """One refinement stage over the previous stage's prediction."""
-    n = prev_logits.data.shape[0]
-    source = prev_logits if config.decoder_query == "logits" else T.softmax_rows(prev_logits)
-    u = T.matmul(source, params[f"decoder{stage}.embed.weight"])
+    """One refinement stage over the previous stage's n x K probabilities."""
+    n = prev_probs.data.shape[0]
+    u = T.matmul(prev_probs, params[f"decoder{stage}.embed.weight"])
     x = u
     for i, size in enumerate(config.schedule(n), start=1):
         x = _block(x, u, params, f"decoder{stage}.block{i}", size, config, training, rng)
@@ -232,7 +218,7 @@ def model_forward(E: Tensor, params, config: ModelConfig, training=False, rng=No
     preds.logits.append(logits)
     preds.probs.append(T.softmax_rows(logits))
     for s in range(1, config.num_decoders + 1):
-        logits = decoder_stage_forward(logits, params, s, config, training, rng)
+        logits = decoder_stage_forward(preds.probs[-1], params, s, config, training, rng)
         preds.logits.append(logits)
         preds.probs.append(T.softmax_rows(logits))
     return preds

@@ -2,40 +2,25 @@
 
 Only the operations the segmentation model actually needs are implemented.
 Shapes are explicit (no broadcasting), buffers are plain numpy arrays, and
-compute is 32-bit by default with a 64-bit mode used by gradient checking.
+compute is 32-bit by default; float64 inputs (gradient checking) stay 64-bit
+through every op.
 
 A :class:`Tape` records every differentiable op executed inside its context
 in execution order, which is automatically a topological order; `backward`
-replays it once in reverse. Tapes are single-owner: one active tape per
-thread, no nesting.
+replays it once in reverse, releasing each node as it is consumed. Tapes are
+single-owner: one active tape per thread, no nesting.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import EmptySequenceError, ParameterError, ShapeError
 
 _state = threading.local()
-
-
-def _default_dtype():
-    return getattr(_state, "dtype", np.float32)
-
-
-@contextmanager
-def float64_mode():
-    """Run enclosed tensor creation in 64-bit precision (gradient checks)."""
-    prev = getattr(_state, "dtype", np.float32)
-    _state.dtype = np.float64
-    try:
-        yield
-    finally:
-        _state.dtype = prev
 
 
 class Tensor:
@@ -46,9 +31,9 @@ class Tensor:
     def __init__(self, data, requires_grad=False, dtype=None):
         if dtype is None and isinstance(data, (np.ndarray, np.floating)) \
                 and data.dtype in (np.float32, np.float64):
-            self.data = np.asarray(data)  # preserve the op-chain dtype (32- vs 64-bit mode)
+            self.data = np.asarray(data)  # preserve the op-chain dtype (32- or 64-bit)
         else:
-            self.data = np.asarray(data, dtype=dtype or _default_dtype())
+            self.data = np.asarray(data, dtype=dtype or np.float32)
         self.grad = None
         self.requires_grad = requires_grad
         self.tape = None      # tape this tensor was produced on, if any
@@ -71,12 +56,11 @@ class Tensor:
 
 
 class TapeNode:
-    __slots__ = ("op", "inputs", "input_ids", "output", "backward_fn")
+    __slots__ = ("op", "inputs", "output", "backward_fn")
 
     def __init__(self, op, inputs, output, backward_fn):
         self.op = op
         self.inputs = inputs
-        self.input_ids = [t.node_id for t in inputs]
         self.output = output
         self.backward_fn = backward_fn
 
@@ -126,11 +110,16 @@ def backward(tape, loss):
     """Reverse sweep: populate grads of every participating tensor.
 
     The loss must be scalar. Gradients accumulate additively across fan-out.
+    Each node is popped off the tape as it is consumed, so the activations
+    its backward closure holds are freed during the sweep and the finished
+    tape pins nothing.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
         dout = node.output.grad
         if dout is None:
             continue
@@ -226,12 +215,12 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng=None, training: bool = True) -> Tensor:
-    """Inverted dropout; identity at inference. `rng` is a seed or Generator."""
+    """Inverted dropout; returns x itself at inference or rate 0. `rng` is a
+    seed or Generator."""
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        out = Tensor(x.data.copy())
-        return record("dropout", [x], out, lambda dout: (dout,))
+        return x
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     keep = rng.random(x.data.shape) >= rate

@@ -23,7 +23,7 @@ from .data import (class_weights, downsample_indices, load_features, load_manife
                    parse_annotations)
 from .errors import (ConfigError, CorruptionError, DataError, FormatError, ParameterError,
                      TrainingError)
-from .model import ModelConfig, init_params, model_forward, total_loss
+from .model import ModelConfig, StagePredictions, init_params, model_forward, total_loss
 from .tensor import Tape, Tensor, backward
 
 CHECKPOINT_MAGIC = b"VTCK"
@@ -55,7 +55,6 @@ class TrainConfig:
     smooth_weight: float = 0.15
     smooth_clamp: float = 4.0
     balancing: str = "class-weights"  # or "none"
-    grad_clip: float = None  # global L2 norm cap, off by default
     downsample_limit: int = 15000
 
     def __post_init__(self):
@@ -137,19 +136,6 @@ def adam_step(params, state: AdamState, learning_rate, weight_decay=0.0):
         p.data -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
-def _clip_gradients(params, max_norm):
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = total ** 0.5
-    if norm > max_norm:
-        factor = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= factor
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -174,6 +160,8 @@ def _write_tensor(f, name, arr):
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
+    """Write a sibling temp file, then rename it over `path`: a reader sees
+    the old checkpoint or the complete new one, never a partial write."""
     meta = {
         "model_config": ckpt.model_config.to_dict(),
         "epoch": ckpt.epoch,
@@ -182,18 +170,27 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "param_names": list(ckpt.params.keys()),
     }
     blob = json.dumps(meta).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", ckpt.version))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for name, arr in ckpt.params.items():
-            _write_tensor(f, name, arr)
-        if ckpt.adam is not None:
-            for name, arr in ckpt.adam.m.items():
-                _write_tensor(f, f"adam.m:{name}", arr)
-            for name, arr in ckpt.adam.v.items():
-                _write_tensor(f, f"adam.v:{name}", arr)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", ckpt.version))
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            for name, arr in ckpt.params.items():
+                _write_tensor(f, name, arr)
+            if ckpt.adam is not None:
+                for name, arr in ckpt.adam.m.items():
+                    _write_tensor(f, f"adam.m:{name}", arr)
+                for name, arr in ckpt.adam.v.items():
+                    _write_tensor(f, f"adam.v:{name}", arr)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:
@@ -214,6 +211,27 @@ class _Reader:
         return len(self.blob) - self.pos
 
 
+def _model_config_from_meta(path, meta) -> ModelConfig:
+    """Validate checkpoint metadata and build its ModelConfig."""
+    if not isinstance(meta, dict):
+        raise CorruptionError(f"{path}: checkpoint metadata is not a JSON object")
+    names = meta.get("param_names")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise CorruptionError(f"{path}: checkpoint metadata lacks a param_names list")
+    config = meta.get("model_config")
+    if not isinstance(config, dict):
+        raise CorruptionError(f"{path}: checkpoint metadata lacks a model_config object")
+    config = dict(config)
+    # older checkpoints carry decoder_query; "probs" is the only query that still exists
+    query = config.pop("decoder_query", "probs")
+    if query != "probs":
+        raise ConfigError(f"{path}: decoder_query {query!r} is no longer supported")
+    try:
+        return ModelConfig.from_dict(config)
+    except TypeError as err:  # unknown or missing keys, values of the wrong type
+        raise ConfigError(f"{path}: bad model_config: {err}") from None
+
+
 def load_checkpoint(path) -> Checkpoint:
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -224,7 +242,11 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     (blen,) = struct.unpack("<I", r.take(4))
-    meta = json.loads(r.take(blen).decode("utf-8"))
+    try:
+        meta = json.loads(r.take(blen).decode("utf-8"))
+    except ValueError as err:  # bad UTF-8 or bad JSON
+        raise CorruptionError(f"{path}: unreadable checkpoint metadata: {err}") from None
+    model_config = _model_config_from_meta(path, meta)
 
     tensors = {}
     while r.remaining:
@@ -253,7 +275,7 @@ def load_checkpoint(path) -> Checkpoint:
     if meta.get("adam_t") is not None:
         adam = AdamState(m=adam_m, v=adam_v, t=meta["adam_t"])
     return Checkpoint(
-        model_config=ModelConfig.from_dict(meta["model_config"]),
+        model_config=model_config,
         params=params,
         adam=adam,
         rng_state=meta.get("rng_state"),
@@ -350,8 +372,6 @@ def train(manifest, model_config: ModelConfig, train_config: TrainConfig,
                         f"non-finite loss {loss_val} at epoch {epoch}, video {v.video_id}"
                     )
                 backward(tape, loss)
-                if train_config.grad_clip is not None:
-                    _clip_gradients(params, train_config.grad_clip)
                 adam_step(params, adam, train_config.learning_rate,
                           train_config.weight_decay)
                 losses.append(loss_val)
@@ -395,6 +415,19 @@ def _eval_threads():
         return 1
 
 
+def infer(ckpt: Checkpoint, features, source) -> StagePredictions:
+    """Frozen-parameter forward of a checkpoint over an n x d feature matrix.
+
+    `source` names the features in the error raised on a dim mismatch.
+    """
+    config = ckpt.model_config
+    if features.shape[1] != config.input_dim:
+        raise ConfigError(f"{source}: feature dim {features.shape[1]} != "
+                          f"checkpoint input_dim {config.input_dim}")
+    params = {k: Tensor(a) for k, a in ckpt.params.items()}
+    return model_forward(Tensor(features), params, config, training=False)
+
+
 def evaluate(ckpt: Checkpoint, manifest, split) -> EvaluationResult:
     """Frozen-parameter evaluation of one manifest split."""
     config = ckpt.model_config
@@ -405,15 +438,9 @@ def evaluate(ckpt: Checkpoint, manifest, split) -> EvaluationResult:
         raise ConfigError(f"data does not match checkpoint phase count: {err}") from err
     if not videos:
         raise DataError(f"no videos in split {split!r}: nothing to report")
-    params = {k: Tensor(a, requires_grad=False) for k, a in ckpt.params.items()}
 
     def run(v):
-        if v.features.shape[1] != config.input_dim:
-            raise ConfigError(
-                f"video {v.video_id}: feature dim {v.features.shape[1]} != "
-                f"checkpoint input_dim {config.input_dim}"
-            )
-        preds = model_forward(Tensor(v.features), params, config, training=False)
+        preds = infer(ckpt, v.features, f"video {v.video_id}")
         final = M.video_report(v.labels, preds.argmax(-1), config.num_phases, v.video_id)
         stage0 = M.video_report(v.labels, preds.argmax(0), config.num_phases, v.video_id)
         return final, stage0

@@ -59,6 +59,24 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: {k: v for k, v in m.items() if k != "param_names"},
+        lambda m: {**m, "model_config": {**m["model_config"], "depth": 3}},
+        lambda m: list(m),
+    ], ids=["no_param_names", "unknown_config_key", "list_metadata"])
+    def test_malformed_checkpoint_metadata(self, tmp_path, dataset, capsys, edit,
+                                           edit_checkpoint_meta):
+        ckpt = tmp_path / "model.vtck"
+        assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
+                   str(write_config(tmp_path / "t.conf", epochs=1)),
+                   "--out-checkpoint", str(ckpt)) == 0
+        edit_checkpoint_meta(ckpt, edit)
+        code = run("predict", "--checkpoint", str(ckpt),
+                   "--features", str(dataset / "video000.vtaf"), "--out", str(tmp_path / "p.txt"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestSynth:
     def test_emit_default_spec(self, tmp_path):
         spec_path = tmp_path / "default.conf"

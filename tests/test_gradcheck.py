@@ -1,7 +1,9 @@
 import pytest
 
 from vitals import gradcheck as gc
+from vitals import model as mdl
 from vitals import tensor as T
+from vitals.cli import main
 
 
 def test_negative_control_breaks_relu_checks():
@@ -13,9 +15,22 @@ def test_negative_control_breaks_relu_checks():
 
 
 def test_corruption_is_restored_after_suite():
-    orig = T.relu
+    """Corruption acts on recorded tape nodes; no module attribute changes."""
+    before = {mod: dict(vars(mod)) for mod in (T, mdl, gc)}
     gc.run_suite(seeds=1, corrupt="relu")
-    assert T.relu is orig
+    for mod, attrs in before.items():
+        assert dict(vars(mod)) == attrs, mod.__name__
+
+
+@pytest.mark.parametrize("op", gc.OPS)
+def test_corrupting_an_op_trips_its_own_check(op):
+    assert op in gc.CHECKS
+    assert gc.run_suite(seeds=1, corrupt=op)[op] >= gc.THRESHOLD
+
+
+def test_cli_corrupt_smoothing_loss_fails(capsys):
+    assert main(["gradcheck", "--seeds", "1", "--corrupt", "smoothing_loss"]) == 1
+    assert "smoothing_loss: max_rel_err=" in capsys.readouterr().out
 
 
 def test_unknown_corrupt_target():

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from vitals import tensor as T
 from vitals.errors import EmptySequenceError, ParameterError, ShapeError
+from vitals.model import ModelConfig, init_params, model_forward, total_loss
 from vitals.tensor import Tape, Tensor, backward, finite_difference_check
 
 
@@ -127,6 +131,13 @@ class TestDropout:
         out = T.dropout(x, 0.3, rng=0, training=False)
         np.testing.assert_array_equal(out.data, x.data)
 
+    def test_identity_returns_input_and_records_nothing(self):
+        x = t64(np.ones((3, 2)))
+        with Tape() as tape:
+            assert T.dropout(x, 0.3, rng=0, training=False) is x
+            assert T.dropout(x, 0.0, rng=0, training=True) is x
+        assert tape.nodes == []
+
     def test_expectation_preserved(self):
         x = Tensor(np.ones((100_000,), dtype=np.float32))
         out = T.dropout(x, 0.5, rng=123, training=True)
@@ -181,6 +192,34 @@ class TestBackward:
         assert len(tape.nodes) == 3
         backward(tape, loss)
         np.testing.assert_allclose(x.grad, [8.0])  # d/dx 2x^2
+
+    def test_finished_step_frees_its_tape_without_gc(self):
+        """Backward consumes the tape, so no reference cycle outlives a step."""
+        config = ModelConfig(num_phases=3, input_dim=4, hidden_dim=4, num_layers=2,
+                             num_decoders=1, dropout_rate=0.3)
+        params = init_params(config, 0)
+        rng = np.random.default_rng(0)
+        E = rng.standard_normal((16, 4)).astype(np.float32)
+        labels = np.arange(16) % 3
+
+        def step():
+            with Tape() as tape:
+                preds = model_forward(Tensor(E), params, config, training=True, rng=rng)
+                loss = total_loss(preds, labels, config)
+            intermediate = weakref.ref(preds.logits[0].data)
+            backward(tape, loss)
+            assert tape.nodes == []
+            return intermediate
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            intermediate = step()
+            assert intermediate() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert params["input_proj.weight"].grad is not None
 
 
 class TestChunkedAttention:

@@ -159,6 +159,51 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError):
             load_checkpoint(path)
 
+    def test_metadata_without_param_names(self, tmp_path, edit_checkpoint_meta):
+        _, _, path = self.roundtrip(tmp_path)
+        edit_checkpoint_meta(path, lambda m: {k: v for k, v in m.items() if k != "param_names"})
+        with pytest.raises(CorruptionError, match="param_names"):
+            load_checkpoint(path)
+
+    def test_model_config_with_unknown_key(self, tmp_path, edit_checkpoint_meta):
+        _, _, path = self.roundtrip(tmp_path)
+        edit_checkpoint_meta(path, lambda m: {**m, "model_config": {**m["model_config"], "depth": 3}})
+        with pytest.raises(ConfigError, match="depth"):
+            load_checkpoint(path)
+
+    def test_metadata_that_is_a_list(self, tmp_path, edit_checkpoint_meta):
+        _, _, path = self.roundtrip(tmp_path)
+        edit_checkpoint_meta(path, lambda m: list(m))
+        with pytest.raises(CorruptionError, match="JSON object"):
+            load_checkpoint(path)
+
+    def test_older_checkpoint_with_probs_query_loads(self, tmp_path, edit_checkpoint_meta):
+        orig, _, path = self.roundtrip(tmp_path)
+        edit_checkpoint_meta(path, lambda m: {
+            **m, "model_config": {**m["model_config"], "decoder_query": "probs"}})
+        back = load_checkpoint(path)
+        assert back.model_config == orig.model_config
+        assert "decoder_query" not in back.model_config.to_dict()
+        for k in orig.params:
+            np.testing.assert_array_equal(back.params[k], orig.params[k])
+
+    def test_logits_query_is_rejected(self, tmp_path, edit_checkpoint_meta):
+        _, _, path = self.roundtrip(tmp_path)
+        edit_checkpoint_meta(path, lambda m: {
+            **m, "model_config": {**m["model_config"], "decoder_query": "logits"}})
+        with pytest.raises(ConfigError, match="decoder_query"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        orig, _, path = self.roundtrip(tmp_path)
+        before = path.read_bytes()
+        bad = Checkpoint(model_config=orig.model_config,
+                         params={**orig.params, "broken": None}, adam=orig.adam)
+        with pytest.raises(AttributeError):  # fails after the first tensors are written
+            save_checkpoint(path, bad)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
 
 class TestTrainingLoop:
     def test_same_seed_bit_identical(self, tmp_path):
