@@ -122,12 +122,25 @@ def _tiny_config():
                        smooth_clamp=4.0)
 
 
+class _ReluMarginTape(T.Tape):
+    """A tape that notes the smallest |relu input| among the nodes it records."""
+
+    def __init__(self):
+        super().__init__()
+        self.margin = np.inf
+
+    def record(self, op, inputs, output, backward_fn):
+        super().record(op, inputs, output, backward_fn)
+        if op == "relu" and output.tape is self:
+            self.margin = min(self.margin, float(np.abs(inputs[0].data).min()))
+        return output
+
+
 def _relu_margin(fn):
     """Smallest |relu input| recorded on a tape while evaluating fn()."""
-    with T.Tape() as tape:
+    with _ReluMarginTape() as tape:
         fn()
-    return min((float(np.abs(node.inputs[0].data).min())
-                for node in tape.nodes if node.op == "relu"), default=np.inf)
+    return tape.margin
 
 
 def _check_end_to_end(rng, seed):

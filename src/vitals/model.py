@@ -131,12 +131,16 @@ def _parameter_shape(name: str, config: ModelConfig):
     return (h, h)  # attention projections
 
 
+def parameter_shapes(config: ModelConfig):
+    """Parameter name -> shape, in `parameter_names` order."""
+    return {name: _parameter_shape(name, config) for name in parameter_names(config)}
+
+
 def init_params(config: ModelConfig, seed=0):
     """Seeded init: weights uniform in +-sqrt(1/fan_in), biases zero."""
     rng = np.random.default_rng(seed)
     params = {}
-    for name in parameter_names(config):
-        shape = _parameter_shape(name, config)
+    for name, shape in parameter_shapes(config).items():
         if name.endswith("bias"):
             data = np.zeros(shape, dtype=np.float32)
         else:

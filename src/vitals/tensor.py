@@ -9,6 +9,14 @@ A :class:`Tape` records every differentiable op executed inside its context
 in execution order, which is automatically a topological order; `backward`
 replays it once in reverse, releasing each node as it is consumed. Tapes are
 single-owner: one active tape per thread, no nesting.
+
+A recorded node holds only what its backward reads. Its output is a
+:class:`GradSlot` that collects the output's gradient, not the output
+tensor; its inputs are the producers' slots, leaf tensors that require a
+gradient, or None for constants; and each op's backward closure keeps only
+the arrays that closure reads. An activation therefore stays alive during
+forward only while some backward still needs it, and after `backward` only
+leaf tensors have a `.grad`.
 """
 
 from __future__ import annotations
@@ -55,13 +63,27 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+class GradSlot:
+    """Gradient of a recorded op's output, accumulated during backward."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+    def accumulate_grad(self, g):
+        if self.grad is None:
+            self.grad = np.zeros_like(g)
+        self.grad += g
+
+
 class TapeNode:
     __slots__ = ("op", "inputs", "output", "backward_fn")
 
     def __init__(self, op, inputs, output, backward_fn):
         self.op = op
-        self.inputs = inputs
-        self.output = output
+        self.inputs = inputs            # per input: producer's GradSlot, leaf Tensor, or None
+        self.output = output            # GradSlot
         self.backward_fn = backward_fn
 
 
@@ -81,42 +103,62 @@ class Tape:
         _state.tape = None
         return False
 
+    def grad_target(self, t):
+        """Where t's gradient accumulates on this tape: the slot of the node
+        that produced it, t itself if it is a leaf requiring a gradient, or
+        None for a constant."""
+        if t.tape is self and t.node_id is not None:
+            return self.nodes[t.node_id].output
+        return t if t.requires_grad else None
+
+    def record(self, op, inputs, output, backward_fn):
+        """Append a node for `output`; see the module-level `record`."""
+        targets = [self.grad_target(t) for t in inputs]
+        if targets.count(None) < len(targets):
+            output.tape = self
+            output.node_id = len(self.nodes)
+            self.nodes.append(TapeNode(op, targets, GradSlot(), backward_fn))
+        return output
+
 
 def active_tape():
     return getattr(_state, "tape", None)
 
 
 def _tracked(t):
-    return isinstance(t, Tensor) and (t.requires_grad or t.tape is active_tape() and t.tape is not None)
+    """Whether a gradient with respect to t is wanted on the active tape."""
+    tape = active_tape()
+    return tape is not None and tape.grad_target(t) is not None
 
 
 def record(op, inputs, output, backward_fn):
     """Record a custom differentiable op on the active tape.
 
-    `backward_fn(dout)` must return one gradient array (or None) per input.
-    Returns `output` for chaining; a no-op when no tape is active or no
-    input participates in differentiation.
+    `backward_fn(dout)` must return one gradient array (or None) per input;
+    the closure should keep only the arrays it reads. Returns `output` for
+    chaining; a no-op when no tape is active or no input participates in
+    differentiation.
     """
     tape = active_tape()
-    if tape is not None and any(_tracked(t) for t in inputs):
-        node = TapeNode(op, list(inputs), output, backward_fn)
-        output.tape = tape
-        output.node_id = len(tape.nodes)
-        tape.nodes.append(node)
+    if tape is not None:
+        tape.record(op, inputs, output, backward_fn)
     return output
 
 
 def backward(tape, loss):
-    """Reverse sweep: populate grads of every participating tensor.
+    """Reverse sweep: populate `.grad` of every leaf tensor that requires it.
 
     The loss must be scalar. Gradients accumulate additively across fan-out.
-    Each node is popped off the tape as it is consumed, so the activations
-    its backward closure holds are freed during the sweep and the finished
-    tape pins nothing.
+    Intermediate gradients live in the nodes' slots only: each node is popped
+    off the tape as it is consumed, which frees its slot's gradient and the
+    arrays its backward closure holds, so the finished tape pins nothing and
+    no non-leaf tensor gets a `.grad`.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    loss.grad = np.ones_like(loss.data)
+    target = tape.grad_target(loss)
+    if target is not None:
+        target.grad = np.ones_like(loss.data)
     nodes = tape.nodes
     while nodes:
         node = nodes.pop()
@@ -124,11 +166,9 @@ def backward(tape, loss):
         if dout is None:
             continue
         grads = node.backward_fn(dout)
-        for t, g in zip(node.inputs, grads):
-            if g is None:
-                continue
-            if t.requires_grad or t.node_id is not None:
-                t.accumulate_grad(g)
+        for target, g in zip(node.inputs, grads):
+            if target is not None and g is not None:
+                target.accumulate_grad(g)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +179,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
     out = Tensor(a.data @ b.data)
+    # each operand is kept only for the other's gradient, and an untracked
+    # operand (the input features, say) gets none
+    a_data = a.data if _tracked(b) else None
+    b_data = b.data if _tracked(a) else None
 
     def bwd(dout):
-        return dout @ b.data.T, a.data.T @ dout
+        return (None if b_data is None else dout @ b_data.T,
+                None if a_data is None else a_data.T @ dout)
 
     return record("matmul", [a, b], out, bwd)
 
@@ -181,7 +226,8 @@ def relu(x: Tensor) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum())
-    return record("sum_all", [x], out, lambda dout: (np.full_like(x.data, float(dout)),))
+    shape, dtype = x.data.shape, x.data.dtype
+    return record("sum_all", [x], out, lambda dout: (np.full(shape, float(dout), dtype),))
 
 
 def concat_cols(tensors) -> Tensor:
@@ -224,9 +270,10 @@ def dropout(x: Tensor, rate: float, rng=None, training: bool = True) -> Tensor:
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     keep = rng.random(x.data.shape) >= rate
-    mask = keep.astype(x.data.dtype) / (1.0 - rate)
-    out = Tensor(x.data * mask)
-    return record("dropout", [x], out, lambda dout: (dout * mask,))
+    dtype = x.data.dtype
+    out = Tensor(x.data * (keep.astype(dtype) / (1.0 - rate)))
+    # keep only the bool mask; backward rebuilds the float one by the same expression
+    return record("dropout", [x], out, lambda dout: (dout * (keep.astype(dtype) / (1.0 - rate)),))
 
 
 def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int) -> Tensor:
@@ -246,23 +293,29 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int) -> Tensor:
     d = int(dilation)
     xd = x.data
     k0, k1, k2 = kernel.data[0], kernel.data[1], kernel.data[2]
-
-    def shifted(sign):
-        # shifted(-1)[t] = x[t-d], shifted(+1)[t] = x[t+d], zeros out of range
-        out = np.zeros_like(xd)
-        if d < n:
-            if sign < 0:
-                out[d:] = xd[: n - d]
-            else:
-                out[: n - d] = xd[d:]
-        return out
-
-    xm, xp = shifted(-1), shifted(+1)
-    y = xm @ k0 + xd @ k1 + xp @ k2
+    y = xd @ k1
+    if d < n:
+        # y[t] += x[t-d] @ k0 + x[t+d] @ k2, zero-padded out of range. numpy
+        # multiplies a lone row (d = n-1) by gemv, whose sums can differ in
+        # the last bit from the same row inside a gemm, so take it from two rows
+        m = max(n - d, 2)
+        y[d:] += (xd[:m] @ k0)[: n - d]
+        y[: n - d] += (xd[n - m:] @ k2)[m - (n - d):]
     out = Tensor(y)
 
     def bwd(dout):
-        dk = np.stack([xm.T @ dout, xd.T @ dout, xp.T @ dout])
+        # dk contracts over all n frames against zero-padded shifted copies of
+        # x, built one at a time in one buffer that lives only for these products
+        shifted = np.zeros_like(xd)
+        if d < n:
+            shifted[d:] = xd[: n - d]
+        dk0 = shifted.T @ dout
+        if d < n:
+            shifted[: n - d] = xd[d:]
+            shifted[n - d:] = 0.0
+        dk2 = shifted.T @ dout
+        del shifted
+        dk = np.stack([dk0, xd.T @ dout, dk2])
         dx = dout @ k1.T
         if d < n:
             # y[t] took x[t-d] through k0 -> scatter back to t-d
@@ -271,6 +324,32 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int) -> Tensor:
         return dx, dk
 
     return record("dilated_conv1d", [x, kernel], out, bwd)
+
+
+def _chunk_scores(lhs, rhs):
+    """Per-chunk lhs @ rhs^T into one chunks x w x w buffer; lhs and rhs are
+    (full chunks, padded tail chunk or None) pairs from `chunked_attention`."""
+    (lf, lt), (rf, rt) = lhs, rhs
+    if lt is None:
+        return lf @ rf.transpose(0, 2, 1)
+    nf, w, _ = lf.shape
+    out = np.empty((nf + 1, w, w), dtype=np.result_type(lf, rf))
+    np.matmul(lf, rf.transpose(0, 2, 1), out=out[:nf])
+    np.matmul(lt, rt.T, out=out[nf])
+    return out
+
+
+def _chunk_rows(lhs, rhs, n):
+    """Per-chunk lhs @ rhs as the n x h rows of the unpadded sequence; lhs is
+    chunks x w x w and rhs a (full chunks, padded tail chunk or None) pair."""
+    full, tail = rhs
+    nf, w, h = full.shape
+    if tail is None:
+        return (lhs @ full).reshape(n, h)
+    out = np.empty((n, h), dtype=np.result_type(lhs, full))
+    np.matmul(lhs[:nf], full, out=out[: nf * w].reshape(nf, w, h))
+    out[nf * w:] = (lhs[nf] @ tail)[: n - nf * w]
+    return out
 
 
 def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
@@ -288,32 +367,40 @@ def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
         raise ParameterError(f"window must be >= 1, got {window}")
     n, h = q.data.shape
     w = min(int(window), n)
-    pad = (-n) % w
-    nc = (n + pad) // w
+    nf, rem = divmod(n, w)
     inv_scale = 1.0 / math.sqrt(h)
 
-    def chunks(a):
-        if pad:
-            a = np.concatenate([a, np.zeros((pad, a.shape[1]), dtype=a.dtype)])
-        return a.reshape(nc, w, h)
+    def split(a):
+        # full chunks as a view; only a short tail chunk is copied, padded to
+        # w rows so every chunk is the same w x w (and w x h) product
+        full = a[: nf * w].reshape(nf, w, h)
+        if not rem:
+            return full, None
+        tail = np.zeros((w, h), dtype=a.dtype)
+        tail[:rem] = a[nf * w:]
+        return full, tail
 
-    qc, kc, vc = chunks(q.data), chunks(k.data), chunks(v.data)
-    s = (qc @ kc.transpose(0, 2, 1)) * inv_scale
-    if pad:
-        s[-1, :, w - pad:] = -np.inf  # padded keys never attended
-    s -= s.max(axis=2, keepdims=True)
-    e = np.exp(s)
-    a = e / e.sum(axis=2, keepdims=True)
-    o = (a @ vc).reshape(-1, h)[:n]
-    out = Tensor(o)
+    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    # softmax in place: the score buffer becomes the attention weights
+    a = _chunk_scores(qs, ks)
+    a *= inv_scale
+    if rem:
+        a[-1, :, rem:] = -np.inf  # padded keys never attended
+    a -= a.max(axis=2, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=2, keepdims=True)
+    out = Tensor(_chunk_rows(a, vs, n))
 
     def bwd(dout):
-        do = chunks(np.ascontiguousarray(dout))
-        dv = (a.transpose(0, 2, 1) @ do).reshape(-1, h)[:n]
-        da = do @ vc.transpose(0, 2, 1)
-        ds = (da - (da * a).sum(axis=2, keepdims=True)) * a
-        dq = ((ds @ kc) * inv_scale).reshape(-1, h)[:n]
-        dk = ((ds.transpose(0, 2, 1) @ qc) * inv_scale).reshape(-1, h)[:n]
+        do = split(np.ascontiguousarray(dout))
+        dv = _chunk_rows(a.transpose(0, 2, 1), do, n)
+        ds = _chunk_scores(do, vs)  # d(loss)/d(a), then through the softmax in place
+        ds -= (ds * a).sum(axis=2, keepdims=True)
+        ds *= a
+        dq = _chunk_rows(ds, ks, n)
+        dq *= inv_scale
+        dk = _chunk_rows(ds.transpose(0, 2, 1), qs, n)
+        dk *= inv_scale
         return dq, dk, dv
 
     return record("chunked_attention", [q, k, v], out, bwd)

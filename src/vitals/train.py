@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +22,8 @@ from .data import (class_weights, downsample_indices, load_features, load_manife
                    parse_annotations)
 from .errors import (ConfigError, CorruptionError, DataError, FormatError, ParameterError,
                      TrainingError)
-from .model import ModelConfig, StagePredictions, init_params, model_forward, total_loss
+from .model import (ModelConfig, StagePredictions, init_params, model_forward,
+                    parameter_shapes, total_loss)
 from .tensor import Tape, Tensor, backward
 
 CHECKPOINT_MAGIC = b"VTCK"
@@ -258,22 +258,39 @@ def load_checkpoint(path) -> Checkpoint:
         payload = r.take(count * 4)
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
 
-    params = {}
-    adam_m, adam_v = {}, {}
+    adam_t = meta.get("adam_t")
+    if adam_t is not None and (type(adam_t) is not int or adam_t < 0):
+        raise CorruptionError(f"{path}: adam_t must be a nonnegative integer, got {adam_t!r}")
+    shapes = parameter_shapes(model_config)
+    params, adam_m, adam_v = {}, {}, {}
     for name, arr in tensors.items():
+        group, key = params, name
         if name.startswith("adam.m:"):
-            adam_m[name[7:]] = arr
+            group, key = adam_m, name[7:]
         elif name.startswith("adam.v:"):
-            adam_v[name[7:]] = arr
-        else:
-            params[name] = arr
-    missing = set(meta["param_names"]) - set(params)
+            group, key = adam_v, name[7:]
+        if key not in shapes:
+            raise CorruptionError(f"{path}: tensor {name!r} is not a parameter of the model "
+                                  "config or its optimizer moment")
+        if arr.shape != shapes[key]:
+            raise CorruptionError(f"{path}: tensor {name!r} has shape {arr.shape}, "
+                                  f"the model config gives {shapes[key]}")
+        group[key] = arr
+    missing = set(shapes) - set(params)
     if missing:
         raise CorruptionError(f"{path}: missing parameter tensors {sorted(missing)}")
+    # adam_step gives every parameter both moments on its first step, so a
+    # resumable state has all of them, or none before any step (or no state)
+    expected = set(shapes) if adam_t else set()
+    for prefix, moments in (("adam.m", adam_m), ("adam.v", adam_v)):
+        if set(moments) != expected:
+            wrong = sorted(set(moments) ^ expected)
+            raise CorruptionError(f"{path}: {prefix} moments {'missing' if adam_t else 'unexpected'} "
+                                  f"for {wrong} (adam_t={adam_t})")
 
     adam = None
-    if meta.get("adam_t") is not None:
-        adam = AdamState(m=adam_m, v=adam_v, t=meta["adam_t"])
+    if adam_t is not None:
+        adam = AdamState(m=adam_m, v=adam_v, t=adam_t)
     return Checkpoint(
         model_config=model_config,
         params=params,
@@ -408,13 +425,6 @@ class EvaluationResult:
     stage0_aggregate: M.AggregateReport
 
 
-def _eval_threads():
-    try:
-        return max(1, int(os.environ.get("VITALS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def infer(ckpt: Checkpoint, features, source) -> StagePredictions:
     """Frozen-parameter forward of a checkpoint over an n x d feature matrix.
 
@@ -445,14 +455,7 @@ def evaluate(ckpt: Checkpoint, manifest, split) -> EvaluationResult:
         stage0 = M.video_report(v.labels, preds.argmax(0), config.num_phases, v.video_id)
         return final, stage0
 
-    threads = _eval_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, videos))
-    else:
-        results = [run(v) for v in videos]
-
-    results.sort(key=lambda pair: pair[0].video_id)
+    results = [run(v) for v in videos]  # in video id order, as load_videos sorts
     final_reports = [r[0] for r in results]
     stage0_reports = [r[1] for r in results]
     return EvaluationResult(

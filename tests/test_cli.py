@@ -5,6 +5,7 @@ from vitals.cli import main, read_spec_file, write_spec_file
 from vitals.data import (SyntheticSpec, load_features, load_manifest,
                          parse_annotation_segments)
 from vitals.errors import ConfigError
+from vitals.train import load_checkpoint, save_checkpoint
 
 
 def run(*argv):
@@ -75,6 +76,19 @@ class TestExitCodes:
                    "--features", str(dataset / "video000.vtaf"), "--out", str(tmp_path / "p.txt"))
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_incomplete_optimizer_state(self, tmp_path, dataset, capsys):
+        ckpt = tmp_path / "model.vtck"
+        assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
+                   str(write_config(tmp_path / "t.conf", epochs=1)),
+                   "--out-checkpoint", str(ckpt)) == 0
+        loaded = load_checkpoint(ckpt)
+        del loaded.adam.m["fusion.weight"]
+        save_checkpoint(ckpt, loaded)
+        code = run("predict", "--checkpoint", str(ckpt),
+                   "--features", str(dataset / "video000.vtaf"), "--out", str(tmp_path / "p.txt"))
+        assert code == 1
+        assert "adam.m moments missing" in capsys.readouterr().err
 
 
 class TestSynth:

@@ -194,6 +194,58 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="decoder_query"):
             load_checkpoint(path)
 
+    def resave(self, tmp_path, edit):
+        """Save the round-trip checkpoint again after edit(ckpt) changed it."""
+        orig, _, path = self.roundtrip(tmp_path)
+        edit(orig)
+        save_checkpoint(path, orig)
+        return path
+
+    def test_missing_moment_rejected(self, tmp_path):
+        path = self.resave(tmp_path, lambda ck: ck.adam.v.pop("fusion.bias"))
+        with pytest.raises(CorruptionError, match=r"adam\.v moments missing.*fusion\.bias"):
+            load_checkpoint(path)
+
+    def test_moments_without_optimizer_steps_rejected(self, tmp_path):
+        def edit(ck):
+            ck.adam.t = 0
+        with pytest.raises(CorruptionError, match="unexpected"):
+            load_checkpoint(self.resave(tmp_path, edit))
+
+    def test_state_before_any_step_loads(self, tmp_path):
+        def edit(ck):
+            ck.adam = AdamState()
+        back = load_checkpoint(self.resave(tmp_path, edit))
+        assert back.adam.t == 0 and back.adam.m == {} and back.adam.v == {}
+
+    @staticmethod
+    def group(ck, name):
+        """The dict of `ck` that holds the tensor saved as `name`, and its key there."""
+        return (ck.adam.m, name[7:]) if name.startswith("adam.m:") else (ck.params, name)
+
+    @pytest.mark.parametrize("name", ["bogus", "adam.m:bogus"])
+    def test_unknown_tensor_rejected(self, tmp_path, name):
+        def edit(ck):
+            group, key = self.group(ck, name)
+            group[key] = np.zeros(3, np.float32)
+        with pytest.raises(CorruptionError, match=f"'{name}'"):
+            load_checkpoint(self.resave(tmp_path, edit))
+
+    @pytest.mark.parametrize("name", ["encoder.block1.attn.wq", "adam.m:fusion.weight"])
+    def test_shape_mismatch_rejected(self, tmp_path, name):
+        def edit(ck):
+            group, key = self.group(ck, name)
+            group[key] = group[key][:-1]
+        with pytest.raises(CorruptionError, match="shape"):
+            load_checkpoint(self.resave(tmp_path, edit))
+
+    @pytest.mark.parametrize("adam_t", ["7", -1, 1.5, True])
+    def test_bad_adam_t_rejected(self, tmp_path, edit_checkpoint_meta, adam_t):
+        _, _, path = self.roundtrip(tmp_path)
+        edit_checkpoint_meta(path, lambda m: {**m, "adam_t": adam_t})
+        with pytest.raises(CorruptionError, match="adam_t"):
+            load_checkpoint(path)
+
     def test_failed_write_keeps_old_file(self, tmp_path):
         orig, _, path = self.roundtrip(tmp_path)
         before = path.read_bytes()
@@ -280,17 +332,3 @@ class TestEvaluate:
         ck, _ = run_train(manifest, small_model(), TrainConfig(epochs=1, seed=0))
         with pytest.raises(DataError, match="test"):
             evaluate(ck, manifest, "test")
-
-    def test_threaded_matches_serial(self, tmp_path, monkeypatch):
-        ck, manifest = self.trained(tmp_path)
-        serial = evaluate(ck, manifest, "train")
-        monkeypatch.setenv("VITALS_THREADS", "4")
-        threaded = evaluate(ck, manifest, "train")
-        assert serial.aggregate.mean == threaded.aggregate.mean
-        assert [r.accuracy for r in serial.reports] == [r.accuracy for r in threaded.reports]
-
-    def test_invalid_threads_env_falls_back(self, tmp_path, monkeypatch):
-        ck, manifest = self.trained(tmp_path)
-        monkeypatch.setenv("VITALS_THREADS", "many")
-        res = evaluate(ck, manifest, "train")
-        assert len(res.reports) == 3
