@@ -8,14 +8,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import gradcheck as gc
 from . import metrics as M
-from .data import (DEFAULT_PHASE_DURATIONS, ManifestEntry, SyntheticSpec,
-                   generate_synthetic_video, load_features, save_features,
-                   write_annotations, write_manifest)
+from .data import (ManifestEntry, SyntheticSpec, generate_synthetic_video, load_features,
+                   read_key_values, save_features, write_annotations, write_manifest)
 from .errors import ConfigError, VitalsError
 from .train import (evaluate, infer, load_checkpoint, load_manifest, model_config_from_train,
                     parse_config, save_checkpoint, train)
@@ -81,28 +81,26 @@ def write_spec_file(path, spec: SyntheticSpec):
 
 
 def read_spec_file(path) -> SyntheticSpec:
+    scalar_types = get_type_hints(SyntheticSpec)
     scalars = {}
     phases = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = (p.strip() for p in line.partition("="))
+    for lineno, key, value in read_key_values(path):
         if key.startswith("phase."):
             try:
                 idx = int(key[6:])
                 parts = [float(v) for v in value.split(",")]
             except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad phase entry {raw!r}") from None
+                raise ConfigError(f"{path}:{lineno}: bad phase entry {key} = {value}") from None
             if len(parts) not in (2, 3):
                 raise ConfigError(f"{path}:{lineno}: phase needs 'mean,std[,skip_prob]'")
+            if idx in phases:  # phase.1 and phase.01 name the same phase
+                raise ConfigError(f"{path}:{lineno}: phase {idx} is already set")
             phases[idx] = (parts[0], parts[1], parts[2] if len(parts) == 3 else 0.0)
-        elif key in ("fps", "feature_dim"):
-            scalars[key] = int(value)
-        elif key in ("separation", "noise_std"):
-            scalars[key] = float(value)
+        elif key in ("fps", "feature_dim", "separation", "noise_std"):
+            try:
+                scalars[key] = scalar_types[key](value)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     if not phases:

@@ -7,6 +7,8 @@ File formats (all little-endian / UTF-8):
               (0-based, inclusive); '#' starts a comment; segments must
               tile [0, n) exactly
   manifest    one entry per line: ``split<TAB>feature_path<TAB>annotation_path``
+  key = value training configs and synthetic specs: one ``key = value`` per
+              line; '#' starts a comment; a key may appear only once
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CoverageError, CorruptionError, DataError, FormatError, ParameterError
+from .errors import (ConfigError, CoverageError, CorruptionError, DataError, FormatError,
+                     ParameterError)
 
 FEATURE_MAGIC = b"VTAF"
 FEATURE_VERSION = 1
@@ -104,6 +107,31 @@ def load_features(path) -> FeatureSequence:
         raise CorruptionError(f"{path}: {len(blob) - expected} trailing bytes", offset=expected)
     data = np.frombuffer(blob, dtype="<f4", count=n * d, offset=24).reshape(n, d)
     return FeatureSequence(video_id=path.stem, data=data.copy(), fps=fps)
+
+
+# ---------------------------------------------------------------------------
+# key = value files
+
+
+def read_key_values(path):
+    """Yield (lineno, key, value) for each ``key = value`` line of a file.
+
+    Values are left as strings for the caller to type. A line without '='
+    and a key set twice are ConfigErrors that name the offending line(s).
+    """
+    first_line = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = (p.strip() for p in line.partition("="))
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeated, "
+                              f"first set on line {first_line[key]}")
+        first_line[key] = lineno
+        yield lineno, key, value
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +279,8 @@ class SyntheticSpec:
         for mean, std in self.durations:
             if mean <= 0 or std < 0:
                 raise ParameterError("phase duration means must be > 0 and stds >= 0")
+        if self.fps < 1:
+            raise ParameterError(f"fps must be >= 1, got {self.fps}")
         if self.feature_dim < len(self.durations):
             raise ParameterError("feature_dim must be >= number of phases for distinct centroids")
 

@@ -118,8 +118,7 @@ def _tiny_config():
     # previous frame, so its finite-difference check runs separately with a
     # pinned reference; the end-to-end check exercises the CE path
     return ModelConfig(num_phases=3, input_dim=5, hidden_dim=8, num_layers=2,
-                       num_decoders=1, dropout_rate=0.0, smooth_weight=0.0,
-                       smooth_clamp=4.0)
+                       num_decoders=1, dropout_rate=0.0, smooth_weight=0.0)
 
 
 class _ReluMarginTape(T.Tape):

@@ -13,7 +13,7 @@ depth keep activations bounded at the scales this package targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,22 +40,19 @@ class ModelConfig:
             raise ParameterError("num_layers >= 1 and num_decoders >= 0 required")
         if self.num_phases < 2 or self.hidden_dim < 1:
             raise ParameterError("num_phases >= 2 and hidden_dim >= 1 required")
+        if not 0 <= self.dropout_rate < 1:
+            raise ParameterError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if not (math.isfinite(self.smooth_weight) and self.smooth_weight >= 0):
+            raise ParameterError(f"smooth_weight must be finite and >= 0, got {self.smooth_weight}")
+        if not self.smooth_clamp > 0:
+            raise ParameterError(f"smooth_clamp must be > 0, got {self.smooth_clamp}")
 
     def schedule(self, n: int):
         """Per-block window/dilation sizes: 2^i for i=1..L, capped at n."""
         return [min(2 ** i, n) for i in range(1, self.num_layers + 1)]
 
     def to_dict(self):
-        return {
-            "num_phases": self.num_phases,
-            "input_dim": self.input_dim,
-            "hidden_dim": self.hidden_dim,
-            "num_layers": self.num_layers,
-            "num_decoders": self.num_decoders,
-            "dropout_rate": self.dropout_rate,
-            "smooth_weight": self.smooth_weight,
-            "smooth_clamp": self.smooth_clamp,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -81,59 +78,32 @@ class StagePredictions:
 # parameters
 
 
-def parameter_names(config: ModelConfig):
-    """Fixed parameter name list; a function of the config alone."""
-    names = ["input_proj.weight"]
-    h, L = config.hidden_dim, config.num_layers
-    for i in range(1, L + 1):
-        names += [
-            f"encoder.block{i}.conv.weight",
-            f"encoder.block{i}.conv.bias",
-            f"encoder.block{i}.attn.wq",
-            f"encoder.block{i}.attn.wk",
-            f"encoder.block{i}.attn.wv",
-            f"encoder.block{i}.attn.wo",
-        ]
-    names += ["fusion.weight", "fusion.bias"]
-    for s in range(1, config.num_decoders + 1):
-        names.append(f"decoder{s}.embed.weight")
-        for i in range(1, L + 1):
-            names += [
-                f"decoder{s}.block{i}.conv.weight",
-                f"decoder{s}.block{i}.conv.bias",
-                f"decoder{s}.block{i}.attn.wq",
-                f"decoder{s}.block{i}.attn.wk",
-                f"decoder{s}.block{i}.attn.wv",
-                f"decoder{s}.block{i}.attn.wo",
-            ]
-        names += [f"decoder{s}.classifier.weight", f"decoder{s}.classifier.bias"]
-    return names
-
-
-def _parameter_shape(name: str, config: ModelConfig):
-    h, K, L = config.hidden_dim, config.num_phases, config.num_layers
-    if name == "input_proj.weight":
-        return (config.input_dim, h)
-    if name == "fusion.weight":
-        return (L * h, K)
-    if name == "fusion.bias":
-        return (K,)
-    if name.endswith("embed.weight"):
-        return (K, h)
-    if name.endswith("classifier.weight"):
-        return (h, K)
-    if name.endswith("classifier.bias"):
-        return (K,)
-    if name.endswith("conv.weight"):
-        return (3, h, h)
-    if name.endswith("conv.bias"):
-        return (h,)
-    return (h, h)  # attention projections
-
-
 def parameter_shapes(config: ModelConfig):
-    """Parameter name -> shape, in `parameter_names` order."""
-    return {name: _parameter_shape(name, config) for name in parameter_names(config)}
+    """Parameter name -> shape, a function of the config alone.
+
+    The order is fixed: init draws and checkpoint records follow it.
+    """
+    h, K, L = config.hidden_dim, config.num_phases, config.num_layers
+    block = {"conv.weight": (3, h, h), "conv.bias": (h,), "attn.wq": (h, h),
+             "attn.wk": (h, h), "attn.wv": (h, h), "attn.wo": (h, h)}
+
+    def blocks(stage):
+        return {f"{stage}.block{i}.{part}": shape
+                for i in range(1, L + 1) for part, shape in block.items()}
+
+    shapes = {"input_proj.weight": (config.input_dim, h), **blocks("encoder"),
+              "fusion.weight": (L * h, K), "fusion.bias": (K,)}
+    for s in range(1, config.num_decoders + 1):
+        shapes[f"decoder{s}.embed.weight"] = (K, h)
+        shapes.update(blocks(f"decoder{s}"))
+        shapes[f"decoder{s}.classifier.weight"] = (h, K)
+        shapes[f"decoder{s}.classifier.bias"] = (K,)
+    return shapes
+
+
+def parameter_names(config: ModelConfig):
+    """Parameter names in `parameter_shapes` order."""
+    return list(parameter_shapes(config))
 
 
 def init_params(config: ModelConfig, seed=0):

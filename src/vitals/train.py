@@ -10,16 +10,18 @@ uninterrupted one.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import metrics as M
-from .data import (class_weights, downsample_indices, load_features, load_manifest,
-                   parse_annotations)
+from .data import (DOWNSAMPLE_LIMIT, class_weights, downsample_indices, load_features,
+                   load_manifest, parse_annotations, read_key_values)
 from .errors import (ConfigError, CorruptionError, DataError, FormatError, ParameterError,
                      TrainingError)
 from .model import (ModelConfig, StagePredictions, init_params, model_forward,
@@ -29,20 +31,9 @@ from .tensor import Tape, Tensor, backward
 CHECKPOINT_MAGIC = b"VTCK"
 CHECKPOINT_VERSION = 1
 
-CONFIG_KEYS = {
-    "learning_rate": float,
-    "weight_decay": float,
-    "epochs": int,
-    "dropout": float,
-    "seed": int,
-    "lambda": float,
-    "tau": float,
-    "layers": int,
-    "decoders": int,
-    "hidden_dim": int,
-    "phases": int,
-    "balancing": str,
-}
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -50,58 +41,58 @@ class TrainConfig:
     learning_rate: float = 5e-4
     weight_decay: float = 1e-5
     epochs: int = 150
-    dropout: float = 0.3
     seed: int = 0
-    smooth_weight: float = 0.15
-    smooth_clamp: float = 4.0
     balancing: str = "class-weights"  # or "none"
-    downsample_limit: int = 15000
+    downsample_limit: int = DOWNSAMPLE_LIMIT
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ParameterError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ParameterError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
         if self.balancing not in ("class-weights", "none"):
             raise ParameterError(f"unknown balancing mode {self.balancing!r}")
 
 
+# config-file key -> (dataclass, field it sets); the field's type parses the
+# value and its default applies when the key is absent
+CONFIG_KEYS = {
+    "learning_rate": (TrainConfig, "learning_rate"),
+    "weight_decay": (TrainConfig, "weight_decay"),
+    "epochs": (TrainConfig, "epochs"),
+    "dropout": (ModelConfig, "dropout_rate"),
+    "seed": (TrainConfig, "seed"),
+    "lambda": (ModelConfig, "smooth_weight"),
+    "tau": (ModelConfig, "smooth_clamp"),
+    "layers": (ModelConfig, "num_layers"),
+    "decoders": (ModelConfig, "num_decoders"),
+    "hidden_dim": (ModelConfig, "hidden_dim"),
+    "phases": (ModelConfig, "num_phases"),
+    "balancing": (TrainConfig, "balancing"),
+}
+
+
 def parse_config(path):
     """Parse a ``key = value`` config file; unknown keys are errors.
 
-    Returns (TrainConfig, dict of ModelConfig overrides).
+    Returns (TrainConfig, dict of ModelConfig field overrides). `phases` is
+    required: the phase count has no default.
     """
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = (p.strip() for p in line.partition("="))
+    values = {TrainConfig: {}, ModelConfig: {}}
+    for lineno, key, value in read_key_values(path):
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        cls, name = CONFIG_KEYS[key]
         try:
-            values[key] = CONFIG_KEYS[key](value)
+            values[cls][name] = get_type_hints(cls)[name](value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
-
-    tc = TrainConfig(
-        learning_rate=values.get("learning_rate", 5e-4),
-        weight_decay=values.get("weight_decay", 1e-5),
-        epochs=values.get("epochs", 150),
-        dropout=values.get("dropout", 0.3),
-        seed=values.get("seed", 0),
-        smooth_weight=values.get("lambda", 0.15),
-        smooth_clamp=values.get("tau", 4.0),
-        balancing=values.get("balancing", "class-weights"),
-    )
-    overrides = {}
-    for src, dst in (("layers", "num_layers"), ("decoders", "num_decoders"),
-                     ("hidden_dim", "hidden_dim"), ("phases", "num_phases")):
-        if src in values:
-            overrides[dst] = values[src]
-    return tc, overrides
+    overrides = values[ModelConfig]
+    if "num_phases" not in overrides:
+        raise ConfigError(f"{path}: missing required key 'phases'")
+    return TrainConfig(**values[TrainConfig]), overrides
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +104,13 @@ class AdamState:
     m: dict = field(default_factory=dict)  # name -> first moment
     v: dict = field(default_factory=dict)  # name -> second moment
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(params, state: AdamState, learning_rate, weight_decay=0.0):
     """One Adam update with bias correction; coupled L2 weight decay."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.isfinite(g).all():
@@ -131,9 +119,9 @@ def adam_step(params, state: AdamState, learning_rate, weight_decay=0.0):
             g = g + weight_decay * p.data
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        p.data -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        p.data -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +135,6 @@ class Checkpoint:
     adam: AdamState = None       # optional optimizer state
     rng_state: dict = None       # numpy bit-generator state
     epoch: int = 0
-    version: int = CHECKPOINT_VERSION
 
 
 def _write_tensor(f, name, arr):
@@ -175,7 +162,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
     try:
         with open(tmp, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", ckpt.version))
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
             f.write(struct.pack("<I", len(blob)))
             f.write(blob)
             for name, arr in ckpt.params.items():
@@ -261,6 +248,16 @@ def load_checkpoint(path) -> Checkpoint:
     adam_t = meta.get("adam_t")
     if adam_t is not None and (type(adam_t) is not int or adam_t < 0):
         raise CorruptionError(f"{path}: adam_t must be a nonnegative integer, got {adam_t!r}")
+    epoch = meta.get("epoch")
+    if type(epoch) is not int or epoch < 0:
+        raise CorruptionError(f"{path}: epoch must be a nonnegative integer, got {epoch!r}")
+    rng_state = meta.get("rng_state")
+    if rng_state is not None:
+        try:  # the state a resumed run will restore
+            np.random.default_rng().bit_generator.state = rng_state
+        except (TypeError, ValueError, KeyError, OverflowError) as err:
+            raise CorruptionError(f"{path}: rng_state is not a valid generator state: "
+                                  f"{err}") from None
     shapes = parameter_shapes(model_config)
     params, adam_m, adam_v = {}, {}, {}
     for name, arr in tensors.items():
@@ -295,9 +292,8 @@ def load_checkpoint(path) -> Checkpoint:
         model_config=model_config,
         params=params,
         adam=adam,
-        rng_state=meta.get("rng_state"),
-        epoch=meta.get("epoch", 0),
-        version=version,
+        rng_state=rng_state,
+        epoch=epoch,
     )
 
 
@@ -313,7 +309,7 @@ class _Video:
     weights: np.ndarray = None
 
 
-def load_videos(entries, split, num_phases, downsample_limit=15000):
+def load_videos(entries, split, num_phases, downsample_limit=DOWNSAMPLE_LIMIT):
     videos = []
     for e in entries:
         if e.split != split:
@@ -357,7 +353,7 @@ def train(manifest, model_config: ModelConfig, train_config: TrainConfig,
 
     rng = np.random.default_rng(train_config.seed)
     if resume is not None:
-        if resume.model_config.to_dict() != model_config.to_dict():
+        if resume.model_config != model_config:
             raise ConfigError("resume checkpoint was trained with a different model config")
         params = {k: Tensor(a.copy(), requires_grad=True) for k, a in resume.params.items()}
         adam = resume.adam if resume.adam is not None else AdamState()
@@ -467,15 +463,11 @@ def evaluate(ckpt: Checkpoint, manifest, split) -> EvaluationResult:
 
 
 def model_config_from_train(train_config: TrainConfig, input_dim, overrides):
-    """Build the ModelConfig a CLI training run uses."""
-    base = dict(
-        num_phases=overrides.get("num_phases", 7),
-        input_dim=input_dim,
-        hidden_dim=overrides.get("hidden_dim", 64),
-        num_layers=overrides.get("num_layers", 10),
-        num_decoders=overrides.get("num_decoders", 3),
-        dropout_rate=train_config.dropout,
-        smooth_weight=train_config.smooth_weight,
-        smooth_clamp=train_config.smooth_clamp,
-    )
-    return ModelConfig(**base)
+    """Build the ModelConfig a CLI training run uses from `parse_config`'s
+    overrides and the feature dim of the training data.
+
+    `train_config` is not read: every model setting reaches the model
+    through `overrides`. The parameter stays because perfbench/child.py
+    calls this function with three arguments.
+    """
+    return ModelConfig(input_dim=input_dim, **overrides)

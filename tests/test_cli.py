@@ -77,6 +77,56 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: {**m, "epoch": "x"},
+        lambda m: {**m, "epoch": -3},
+        lambda m: {**m, "rng_state": {"bit_generator": "PCG64", "state": 5}},
+    ], ids=["text_epoch", "negative_epoch", "bad_rng_state"])
+    def test_bad_checkpoint_run_state(self, tmp_path, dataset, capsys, edit,
+                                      edit_checkpoint_meta):
+        ckpt = tmp_path / "model.vtck"
+        assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
+                   str(write_config(tmp_path / "t.conf", epochs=1)),
+                   "--out-checkpoint", str(ckpt)) == 0
+        edit_checkpoint_meta(ckpt, edit)
+        code = run("eval", "--checkpoint", str(ckpt), "--manifest",
+                   str(dataset / "manifest.tsv"), "--split", "train",
+                   "--report", str(tmp_path / "r.txt"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"learning_rate": "nan"}, "learning_rate"),
+        ({"weight_decay": "-1"}, "weight_decay"),
+        ({"dropout": 1.5}, "dropout_rate"),
+    ], ids=["nan_learning_rate", "negative_weight_decay", "dropout_above_one"])
+    def test_bad_train_config(self, tmp_path, dataset, capsys, kw, message):
+        config = write_config(tmp_path / "t.conf", **kw)
+        assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
+                   str(config), "--out-checkpoint", str(tmp_path / "c.vtck")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "c.vtck").exists()
+
+    def test_train_config_without_phases(self, tmp_path, dataset, capsys):
+        config = tmp_path / "t.conf"
+        config.write_text("epochs = 1\nlayers = 2\n")
+        assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
+                   str(config), "--out-checkpoint", str(tmp_path / "c.vtck")) == 1
+        assert "missing required key 'phases'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("fps = -1", "fps must be >= 1"),
+        ("fps = x", "spec.conf:1: bad value for fps"),
+    ], ids=["negative_fps", "text_fps"])
+    def test_bad_spec(self, tmp_path, capsys, line, message):
+        spec = tmp_path / "spec.conf"
+        spec.write_text(f"{line}\nphase.0 = 1,0\nphase.1 = 1,0\n")
+        assert run("synth", "--spec", str(spec), "--videos", "1",
+                   "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_incomplete_optimizer_state(self, tmp_path, dataset, capsys):
         ckpt = tmp_path / "model.vtck"
         assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
@@ -119,6 +169,15 @@ class TestSynth:
         assert back.durations == spec.durations
         assert back.skip_prob == spec.skip_prob
         assert back.fps == 2 and back.feature_dim == 4
+
+    def test_spec_with_repeated_key(self, tmp_path):
+        p = tmp_path / "s.conf"
+        p.write_text("fps = 1\nphase.0 = 1,0\nfps = 2\nphase.1 = 1,0\n")
+        with pytest.raises(ConfigError, match=r"s\.conf:3: key 'fps' repeated, first set on line 1"):
+            read_spec_file(p)
+        p.write_text("phase.0 = 1,0\nphase.1 = 1,0\nphase.01 = 2,0\n")
+        with pytest.raises(ConfigError, match=r"s\.conf:3: phase 1 is already set"):
+            read_spec_file(p)
 
     def test_spec_with_gap_in_phase_indices(self, tmp_path):
         p = tmp_path / "s.conf"

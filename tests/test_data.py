@@ -5,10 +5,11 @@ from vitals.data import (DEFAULT_PHASE_DURATIONS, FeatureSequence, LabelSequence
                          ManifestEntry, PhaseSegment, SyntheticSpec, class_weights,
                          downsample_indices, generate_synthetic_video,
                          labels_from_segments, load_features, load_manifest,
-                         parse_annotations, phase_centroids, save_features,
-                         segments_from_labels, write_annotations, write_manifest)
-from vitals.errors import (CorruptionError, CoverageError, DataError, FormatError,
-                           ParameterError)
+                         parse_annotations, phase_centroids, read_key_values,
+                         save_features, segments_from_labels, write_annotations,
+                         write_manifest)
+from vitals.errors import (ConfigError, CorruptionError, CoverageError, DataError,
+                           FormatError, ParameterError)
 
 
 class TestFeatureFiles:
@@ -221,6 +222,24 @@ class TestSynthetic:
     def test_feature_dim_must_cover_phases(self):
         with pytest.raises(ParameterError):
             SyntheticSpec(durations=[(1.0, 0.0)] * 5, feature_dim=3)
+
+    @pytest.mark.parametrize("fps", [0, -1])
+    def test_fps_must_be_positive(self, fps):
+        with pytest.raises(ParameterError, match="fps"):
+            self.small_spec(fps=fps)
+
+
+class TestKeyValues:
+    def test_comments_blanks_and_spacing(self, tmp_path):
+        p = tmp_path / "kv.conf"
+        p.write_text("# header\n\n  a = 1  # trailing\nb=x y\nc =\n")
+        assert list(read_key_values(p)) == [(3, "a", "1"), (4, "b", "x y"), (5, "c", "")]
+
+    def test_missing_equals(self, tmp_path):
+        p = tmp_path / "kv.conf"
+        p.write_text("a = 1\njust words\n")
+        with pytest.raises(ConfigError, match=r"kv\.conf:2: expected 'key = value'"):
+            list(read_key_values(p))
 
 
 class TestManifest:

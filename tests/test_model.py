@@ -4,8 +4,8 @@ import pytest
 from vitals.errors import DataError, ParameterError, ShapeError
 from vitals.model import (ModelConfig, StagePredictions, cross_entropy_loss,
                           decoder_stage_forward, encoder_forward, init_params,
-                          model_forward, parameter_names, smoothing_loss, total_loss,
-                          windowed_self_attention)
+                          model_forward, parameter_names, parameter_shapes, smoothing_loss,
+                          total_loss, windowed_self_attention)
 from vitals.tensor import Tensor
 
 
@@ -33,6 +33,15 @@ class TestConfig:
         with pytest.raises(ParameterError):
             small_config(num_phases=1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("dropout_rate", 1.0), ("dropout_rate", -0.1), ("dropout_rate", float("nan")),
+        ("smooth_weight", -0.5), ("smooth_weight", float("nan")), ("smooth_weight", float("inf")),
+        ("smooth_clamp", 0.0), ("smooth_clamp", -1.0), ("smooth_clamp", float("nan")),
+    ])
+    def test_loss_and_dropout_settings_validated(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            small_config(**{field: value})
+
 
 class TestParams:
     def test_names_and_shapes_deterministic(self):
@@ -46,6 +55,19 @@ class TestParams:
         for n in names:
             np.testing.assert_array_equal(a[n].data, b[n].data)
             assert a[n].data.dtype == np.float32
+
+    def test_layout(self):
+        c = small_config(num_phases=3, input_dim=5, hidden_dim=4, num_layers=2, num_decoders=1)
+        block = [("conv.weight", (3, 4, 4)), ("conv.bias", (4,)), ("attn.wq", (4, 4)),
+                 ("attn.wk", (4, 4)), ("attn.wv", (4, 4)), ("attn.wo", (4, 4))]
+        expected = [("input_proj.weight", (5, 4))]
+        expected += [(f"encoder.block{i}.{p}", s) for i in (1, 2) for p, s in block]
+        expected += [("fusion.weight", (8, 3)), ("fusion.bias", (3,)),
+                     ("decoder1.embed.weight", (3, 4))]
+        expected += [(f"decoder1.block{i}.{p}", s) for i in (1, 2) for p, s in block]
+        expected += [("decoder1.classifier.weight", (4, 3)), ("decoder1.classifier.bias", (3,))]
+        assert list(parameter_shapes(c).items()) == expected
+        assert parameter_names(c) == [name for name, _ in expected]
 
     def test_biases_zero_weights_bounded(self):
         c = small_config()

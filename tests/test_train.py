@@ -9,8 +9,9 @@ from vitals.errors import (ConfigError, CorruptionError, DataError, FormatError,
                            ParameterError, TrainingError)
 from vitals.model import ModelConfig, init_params
 from vitals.tensor import Tensor
-from vitals.train import (AdamState, Checkpoint, TrainConfig, adam_step, evaluate,
-                          load_checkpoint, parse_config, save_checkpoint)
+from vitals.train import (CONFIG_KEYS, AdamState, Checkpoint, TrainConfig, adam_step, evaluate,
+                          load_checkpoint, model_config_from_train, parse_config,
+                          save_checkpoint)
 from vitals.train import train as run_train
 
 
@@ -84,10 +85,9 @@ class TestConfigFile:
                      "hidden_dim = 16\nphases = 5\nbalancing = none\n")
         tc, overrides = parse_config(p)
         assert tc.learning_rate == 0.001 and tc.epochs == 7 and tc.seed == 3
-        assert tc.smooth_weight == 0.2 and tc.smooth_clamp == 5.0
         assert tc.balancing == "none"
-        assert overrides == {"num_layers": 4, "num_decoders": 2,
-                             "hidden_dim": 16, "num_phases": 5}
+        assert overrides == {"smooth_weight": 0.2, "smooth_clamp": 5.0, "num_layers": 4,
+                             "num_decoders": 2, "hidden_dim": 16, "num_phases": 5}
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "c.conf"
@@ -108,6 +108,55 @@ class TestConfigFile:
             TrainConfig(epochs=0)
         with pytest.raises(ParameterError):
             TrainConfig(balancing="oversample")
+
+    @pytest.mark.parametrize("line", ["learning_rate = nan", "learning_rate = inf",
+                                      "learning_rate = -0.1", "weight_decay = nan",
+                                      "weight_decay = -1e-5", "weight_decay = inf"])
+    def test_nonfinite_or_negative_rates_rejected(self, tmp_path, line):
+        p = tmp_path / "c.conf"
+        p.write_text(f"phases = 3\n{line}\n")
+        with pytest.raises(ParameterError, match=line.split()[0]):
+            parse_config(p)
+
+    def test_phases_only_gives_dataclass_defaults(self, tmp_path):
+        p = tmp_path / "c.conf"
+        p.write_text("phases = 5\n")
+        tc, overrides = parse_config(p)
+        assert tc == TrainConfig()
+        assert model_config_from_train(tc, 12, overrides) == ModelConfig(num_phases=5,
+                                                                         input_dim=12)
+
+    def test_missing_phases_rejected(self, tmp_path):
+        p = tmp_path / "c.conf"
+        p.write_text("epochs = 3\nlayers = 2\n")
+        with pytest.raises(ConfigError, match="phases"):
+            parse_config(p)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        p = tmp_path / "c.conf"
+        p.write_text("epochs = 3\nphases = 4\n# note\nepochs = 5\n")
+        with pytest.raises(ConfigError, match=r"c\.conf:4: key 'epochs' repeated, first set on line 1"):
+            parse_config(p)
+
+    def test_every_key_reaches_its_field(self, tmp_path):
+        # a non-default value for each key, as written in a file and as parsed
+        samples = {"learning_rate": ("0.002", 0.002), "weight_decay": ("0.25", 0.25),
+                   "epochs": ("9", 9), "dropout": ("0.45", 0.45), "seed": ("17", 17),
+                   "lambda": ("0.6", 0.6), "tau": ("2.5", 2.5), "layers": ("3", 3),
+                   "decoders": ("0", 0), "hidden_dim": ("5", 5), "phases": ("6", 6),
+                   "balancing": ("none", "none")}
+        assert set(samples) == set(CONFIG_KEYS)
+        for key, (text, value) in samples.items():
+            p = tmp_path / f"{key}.conf"
+            p.write_text(f"{key} = {text}\n" + ("" if key == "phases" else "phases = 4\n"))
+            tc, overrides = parse_config(p)
+            mc = model_config_from_train(tc, 7, overrides)
+            cls, name = CONFIG_KEYS[key]
+            got = getattr(tc if cls is TrainConfig else mc, name)
+            assert got == value and type(got) is type(value), key
+            default = getattr(TrainConfig() if cls is TrainConfig else ModelConfig(num_phases=2),
+                              name)
+            assert value != default, key
 
 
 class TestCheckpoint:
@@ -245,6 +294,32 @@ class TestCheckpoint:
         edit_checkpoint_meta(path, lambda m: {**m, "adam_t": adam_t})
         with pytest.raises(CorruptionError, match="adam_t"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("epoch", ["x", -3, 1.5, True, None])
+    def test_bad_epoch_rejected(self, tmp_path, edit_checkpoint_meta, epoch):
+        _, _, path = self.roundtrip(tmp_path)
+        edit_checkpoint_meta(path, lambda m: {**m, "epoch": epoch})
+        with pytest.raises(CorruptionError, match="epoch"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("state", [
+        {"bit_generator": "PCG64", "state": 5},
+        {"bit_generator": "MT19937", "state": {}},
+        {"bit_generator": "PCG64", "state": {"state": -1, "inc": 1},
+         "has_uint32": 0, "uinteger": 0},
+        {"bit_generator": "PCG64", "state": {"state": 1, "inc": 1}, "has_uint32": 0},
+        "PCG64",
+    ], ids=["int_state", "other_generator", "negative_state", "missing_field", "string"])
+    def test_bad_rng_state_rejected(self, tmp_path, edit_checkpoint_meta, state):
+        _, _, path = self.roundtrip(tmp_path)
+        edit_checkpoint_meta(path, lambda m: {**m, "rng_state": state})
+        with pytest.raises(CorruptionError, match="rng_state"):
+            load_checkpoint(path)
+
+    def test_absent_rng_state_loads(self, tmp_path, edit_checkpoint_meta):
+        _, _, path = self.roundtrip(tmp_path)
+        edit_checkpoint_meta(path, lambda m: {**m, "rng_state": None})
+        assert load_checkpoint(path).rng_state is None
 
     def test_failed_write_keeps_old_file(self, tmp_path):
         orig, _, path = self.roundtrip(tmp_path)
