@@ -77,7 +77,7 @@ def write_spec_file(path, spec: SyntheticSpec):
     for i, (mean, std) in enumerate(spec.durations):
         skip = spec.skip_prob[i]
         lines.append(f"phase.{i} = {mean},{std},{skip}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_spec_file(path) -> SyntheticSpec:

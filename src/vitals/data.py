@@ -13,6 +13,7 @@ File formats (all little-endian / UTF-8):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -105,8 +106,27 @@ def load_features(path) -> FeatureSequence:
         raise CorruptionError(f"{path}: payload truncated, expected {expected} bytes", offset=len(blob))
     if len(blob) > expected:
         raise CorruptionError(f"{path}: {len(blob) - expected} trailing bytes", offset=expected)
-    data = np.frombuffer(blob, dtype="<f4", count=n * d, offset=24).reshape(n, d)
-    return FeatureSequence(video_id=path.stem, data=data.copy(), fps=fps)
+    data = np.frombuffer(blob, dtype="<f4", count=n * d, offset=24).reshape(n, d).copy()
+    # min and max propagate NaN and +-inf without an n x d temporary
+    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        first = int(np.flatnonzero(~np.isfinite(data))[0])
+        raise CorruptionError(f"{path}: non-finite feature value {data.flat[first]} at frame "
+                              f"{first // d}", offset=24 + 4 * first)
+    return FeatureSequence(video_id=path.stem, data=data, fps=fps)
+
+
+# ---------------------------------------------------------------------------
+# text files
+
+
+def read_text(path, error):
+    """A text file's contents decoded as UTF-8; undecodable bytes raise
+    `error`, the VitalsError subclass for that kind of file."""
+    blob = Path(path).read_bytes()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8 text at byte offset {err.start}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +140,7 @@ def read_key_values(path):
     and a key set twice are ConfigErrors that name the offending line(s).
     """
     first_line = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, ConfigError).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -141,7 +161,7 @@ def read_key_values(path):
 def parse_annotation_segments(path):
     """Read raw (phase, start, end) triples without coverage checks."""
     segments = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, FormatError).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -182,7 +202,7 @@ def parse_annotations(path, n, num_phases) -> LabelSequence:
 def write_annotations(path, labels):
     """Write per-frame labels as run-length segments."""
     lines = [f"{s.phase},{s.start},{s.end}" for s in segments_from_labels(labels)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +297,16 @@ class SyntheticSpec:
         if len(self.skip_prob) != len(self.durations):
             raise ParameterError("skip_prob must have one entry per phase")
         for mean, std in self.durations:
-            if mean <= 0 or std < 0:
-                raise ParameterError("phase duration means must be > 0 and stds >= 0")
+            if not (math.isfinite(mean) and math.isfinite(std) and mean > 0 and std >= 0):
+                raise ParameterError("phase duration means must be finite and > 0, stds finite "
+                                     f"and >= 0, got ({mean}, {std})")
+        for p in self.skip_prob:
+            if not 0 <= p <= 1:
+                raise ParameterError(f"skip probabilities must be in [0, 1], got {p}")
+        if not math.isfinite(self.separation):
+            raise ParameterError(f"separation must be finite, got {self.separation}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.fps < 1:
             raise ParameterError(f"fps must be >= 1, got {self.fps}")
         if self.feature_dim < len(self.durations):
@@ -344,7 +372,7 @@ def load_manifest(path):
     path = Path(path)
     base = path.parent
     entries = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, FormatError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -374,4 +402,4 @@ def write_manifest(path, entries):
         except ValueError:
             pass
         lines.append(f"{e.split}\t{f}\t{a}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

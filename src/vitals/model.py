@@ -101,11 +101,6 @@ def parameter_shapes(config: ModelConfig):
     return shapes
 
 
-def parameter_names(config: ModelConfig):
-    """Parameter names in `parameter_shapes` order."""
-    return list(parameter_shapes(config))
-
-
 def init_params(config: ModelConfig, seed=0):
     """Seeded init: weights uniform in +-sqrt(1/fan_in), biases zero."""
     rng = np.random.default_rng(seed)
@@ -125,13 +120,9 @@ def init_params(config: ModelConfig, seed=0):
 # attention wrappers
 
 
-def windowed_self_attention(f: Tensor, window: int, wq, wk, wv, wo) -> Tensor:
-    """Chunked self-attention over f with output projection wo."""
-    return cross_attention(f, f, window, wq, wk, wv, wo)
-
-
 def cross_attention(u: Tensor, f: Tensor, window: int, wq, wk, wv, wo) -> Tensor:
-    """Chunked attention where the query comes from u, keys/values from f."""
+    """Chunked attention where the query comes from u, keys/values from f;
+    u = f is self-attention."""
     if u.data.shape != f.data.shape:
         raise ShapeError(f"cross_attention expects matching shapes, got {u.data.shape} vs {f.data.shape}")
     q = T.matmul(u, wq)
@@ -241,24 +232,28 @@ def cross_entropy_loss(logits: Tensor, labels, class_weights=None) -> Tensor:
     return T.record("cross_entropy_loss", [logits], out, bwd)
 
 
-def smoothing_loss(logits: Tensor, clamp: float = 4.0, prev_ref=None) -> Tensor:
+def _log_softmax(z):
+    zs = z - z.max(axis=1, keepdims=True)
+    return zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
+
+
+def smoothing_loss(logits: Tensor, prev: Tensor, clamp: float) -> Tensor:
     """Truncated temporal MSE over log-probabilities.
 
-    Penalizes frame-to-frame jumps in log p, each squared difference capped
-    at clamp^2; the previous-frame term is a constant (no gradient flows to
-    it). `prev_ref` optionally pins that constant branch to a fixed
-    log-probability matrix, which is what makes the declared derivative
-    finite-difference checkable. Returns 0 for sequences shorter than 2
-    frames.
+    Penalizes the jump from frame t-1 of `prev` to frame t of `logits` in
+    log-softmax space, each squared difference capped at clamp^2. `prev` is
+    the previous-frame reference and a constant of the loss: no gradient
+    flows to it (MS-TCN's stop-gradient), so training passes a stage's
+    logits as both arguments. Returns 0 for sequences shorter than 2 frames.
     """
     z = logits.data
+    if prev.data.shape != z.shape:
+        raise ShapeError(f"smoothing_loss reference shape {prev.data.shape} != logits shape {z.shape}")
     n, K = z.shape
     if n < 2:
         return Tensor(np.asarray(0.0, dtype=z.dtype))
-    zs = z - z.max(axis=1, keepdims=True)
-    logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
-    ref = logp if prev_ref is None else np.asarray(prev_ref)
-    delta = logp[1:] - ref[:-1]
+    logp = _log_softmax(z)
+    delta = logp[1:] - _log_softmax(prev.data)[:-1]
     clipped = np.clip(delta, -clamp, clamp)
     denom = (n - 1) * K
     out = Tensor(np.asarray((clipped ** 2).sum() / denom, dtype=z.dtype))
@@ -268,9 +263,9 @@ def smoothing_loss(logits: Tensor, clamp: float = 4.0, prev_ref=None) -> Tensor:
         ds = np.zeros_like(z)
         ds[1:] = np.where(np.abs(delta) < clamp, 2.0 * delta, 0.0) / denom
         dz = ds - p * ds.sum(axis=1, keepdims=True)  # through log-softmax
-        return (dz * float(dout),)
+        return dz * float(dout), None
 
-    return T.record("smoothing_loss", [logits], out, bwd)
+    return T.record("smoothing_loss", [logits, prev], out, bwd)
 
 
 def total_loss(stages: StagePredictions, labels, config: ModelConfig, class_weights=None) -> Tensor:
@@ -281,7 +276,7 @@ def total_loss(stages: StagePredictions, labels, config: ModelConfig, class_weig
     for logits in stages.logits:
         term = cross_entropy_loss(logits, labels, class_weights)
         if config.smooth_weight != 0.0:
-            term = T.add(term, T.scale(smoothing_loss(logits, config.smooth_clamp),
+            term = T.add(term, T.scale(smoothing_loss(logits, logits, config.smooth_clamp),
                                        config.smooth_weight))
         total = term if total is None else T.add(total, term)
     return total

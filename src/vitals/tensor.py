@@ -261,14 +261,15 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng=None, training: bool = True) -> Tensor:
-    """Inverted dropout; returns x itself at inference or rate 0. `rng` is a
-    seed or Generator."""
+    """Inverted dropout; returns x itself at inference or rate 0. A training
+    mask is drawn from `rng`, which must then be a np.random.Generator."""
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+        raise ParameterError("training dropout draws its mask from a np.random.Generator, "
+                             f"got {type(rng).__name__}")
     keep = rng.random(x.data.shape) >= rate
     dtype = x.data.dtype
     out = Tensor(x.data * (keep.astype(dtype) / (1.0 - rate)))

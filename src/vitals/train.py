@@ -234,17 +234,6 @@ def load_checkpoint(path) -> Checkpoint:
     except ValueError as err:  # bad UTF-8 or bad JSON
         raise CorruptionError(f"{path}: unreadable checkpoint metadata: {err}") from None
     model_config = _model_config_from_meta(path, meta)
-
-    tensors = {}
-    while r.remaining:
-        (nlen,) = struct.unpack("<I", r.take(4))
-        name = r.take(nlen).decode("utf-8")
-        (rank,) = struct.unpack("<I", r.take(4))
-        shape = struct.unpack(f"<{rank}Q", r.take(8 * rank))
-        count = int(np.prod(shape)) if rank else 1
-        payload = r.take(count * 4)
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
-
     adam_t = meta.get("adam_t")
     if adam_t is not None and (type(adam_t) is not int or adam_t < 0):
         raise CorruptionError(f"{path}: adam_t must be a nonnegative integer, got {adam_t!r}")
@@ -258,9 +247,19 @@ def load_checkpoint(path) -> Checkpoint:
         except (TypeError, ValueError, KeyError, OverflowError) as err:
             raise CorruptionError(f"{path}: rng_state is not a valid generator state: "
                                   f"{err}") from None
+
+    # a record's name and shape are checked against the model config before
+    # its payload is read, so a damaged header can size neither a read nor a reshape
     shapes = parameter_shapes(model_config)
     params, adam_m, adam_v = {}, {}, {}
-    for name, arr in tensors.items():
+    while r.remaining:
+        (nlen,) = struct.unpack("<I", r.take(4))
+        try:
+            name = r.take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptionError(f"{path}: tensor name is not UTF-8", offset=r.pos - nlen) from None
+        (rank,) = struct.unpack("<I", r.take(4))
+        shape = struct.unpack(f"<{rank}Q", r.take(8 * rank))
         group, key = params, name
         if name.startswith("adam.m:"):
             group, key = adam_m, name[7:]
@@ -269,10 +268,13 @@ def load_checkpoint(path) -> Checkpoint:
         if key not in shapes:
             raise CorruptionError(f"{path}: tensor {name!r} is not a parameter of the model "
                                   "config or its optimizer moment")
-        if arr.shape != shapes[key]:
-            raise CorruptionError(f"{path}: tensor {name!r} has shape {arr.shape}, "
+        if shape != shapes[key]:
+            raise CorruptionError(f"{path}: tensor {name!r} has shape {shape}, "
                                   f"the model config gives {shapes[key]}")
-        group[key] = arr
+        if key in group:
+            raise CorruptionError(f"{path}: tensor {name!r} repeated")
+        count = math.prod(shape)  # exact: np.prod can wrap to 0 and skip the size check
+        group[key] = np.frombuffer(r.take(count * 4), dtype="<f4").reshape(shape).copy()
     missing = set(shapes) - set(params)
     if missing:
         raise CorruptionError(f"{path}: missing parameter tensors {sorted(missing)}")

@@ -16,7 +16,7 @@ from vitals.data import (ManifestEntry, SyntheticSpec, downsample_indices,
                          generate_synthetic_video, save_features, segments_from_labels,
                          write_annotations)
 from vitals.metrics import video_report
-from vitals.model import ModelConfig, init_params, model_forward, windowed_self_attention
+from vitals.model import ModelConfig, cross_attention, init_params, model_forward
 from vitals.tensor import Tensor
 from vitals.train import TrainConfig, load_checkpoint, save_checkpoint
 from vitals.train import train as run_train
@@ -177,7 +177,7 @@ def test_c7_attention_scalability(announce):
         best = np.inf
         for _ in range(5):
             start = time.perf_counter()
-            windowed_self_attention(x, 64, *weights)
+            cross_attention(x, x, 64, *weights)
             best = min(best, time.perf_counter() - start)
         return best
 

@@ -118,7 +118,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("line,message", [
         ("fps = -1", "fps must be >= 1"),
         ("fps = x", "spec.conf:1: bad value for fps"),
-    ], ids=["negative_fps", "text_fps"])
+        ("separation = nan", "separation"),
+        ("noise_std = inf", "noise_std"),
+        ("phase.2 = inf,1", "duration"),
+        ("phase.2 = nan,1", "duration"),
+        ("phase.2 = 1,0,2", "skip"),
+    ], ids=["negative_fps", "text_fps", "nan_separation", "inf_noise", "inf_duration",
+            "nan_duration", "skip_above_one"])
     def test_bad_spec(self, tmp_path, capsys, line, message):
         spec = tmp_path / "spec.conf"
         spec.write_text(f"{line}\nphase.0 = 1,0\nphase.1 = 1,0\n")
@@ -126,6 +132,17 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_non_finite_features(self, tmp_path, dataset, capsys):
+        feats = dataset / "video000.vtaf"
+        blob = bytearray(feats.read_bytes())
+        blob[-4:] = np.float32(np.nan).tobytes()
+        feats.write_bytes(bytes(blob))
+        assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
+                   str(write_config(tmp_path / "t.conf")),
+                   "--out-checkpoint", str(tmp_path / "c.vtck")) == 1
+        assert "non-finite feature value" in capsys.readouterr().err
+        assert not (tmp_path / "c.vtck").exists()
 
     def test_incomplete_optimizer_state(self, tmp_path, dataset, capsys):
         ckpt = tmp_path / "model.vtck"

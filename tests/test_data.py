@@ -52,6 +52,16 @@ class TestFeatureFiles:
         with pytest.raises(CorruptionError):
             load_features(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
+    def test_non_finite_payload_rejected(self, tmp_path, value):
+        data = np.ones((4, 3), dtype=np.float32)
+        data[2, 1] = value
+        path = tmp_path / "x.vtaf"
+        save_features(path, FeatureSequence("x", data))
+        with pytest.raises(CorruptionError, match="non-finite feature value .* at frame 2") as err:
+            load_features(path)
+        assert err.value.offset == 24 + 4 * 7
+
     def test_empty_features_rejected(self):
         with pytest.raises(DataError):
             FeatureSequence("x", np.zeros((0, 4), dtype=np.float32))
@@ -88,6 +98,12 @@ class TestAnnotations:
     def test_tail_gap(self, tmp_path):
         p = self.write(tmp_path, "0,0,4\n")
         with pytest.raises(CoverageError):
+            parse_annotations(p, 8, 2)
+
+    def test_undecodable_bytes(self, tmp_path):
+        p = tmp_path / "ann.txt"
+        p.write_bytes(b"0,0,3\n\x80,4,7\n")
+        with pytest.raises(FormatError, match="not UTF-8 text at byte offset 6"):
             parse_annotations(p, 8, 2)
 
     def test_phase_out_of_range(self, tmp_path):
@@ -228,8 +244,34 @@ class TestSynthetic:
         with pytest.raises(ParameterError, match="fps"):
             self.small_spec(fps=fps)
 
+    @pytest.mark.parametrize("field,value", [
+        ("separation", float("nan")), ("separation", float("inf")),
+        ("noise_std", float("nan")), ("noise_std", float("inf")), ("noise_std", -0.1),
+    ])
+    def test_scalars_must_be_finite(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            self.small_spec(**{field: value})
+
+    @pytest.mark.parametrize("duration", [
+        (float("inf"), 1.0), (float("nan"), 1.0), (1.0, float("inf")), (1.0, float("nan")),
+    ], ids=["inf_mean", "nan_mean", "inf_std", "nan_std"])
+    def test_durations_must_be_finite(self, duration):
+        with pytest.raises(ParameterError, match="duration"):
+            SyntheticSpec(durations=[(1.0, 0.0), duration], feature_dim=4)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_skip_probabilities_in_unit_interval(self, p):
+        with pytest.raises(ParameterError, match="skip"):
+            SyntheticSpec(durations=[(1.0, 0.0)] * 2, feature_dim=4, skip_prob=[0.0, p])
+
 
 class TestKeyValues:
+    def test_undecodable_bytes(self, tmp_path):
+        p = tmp_path / "kv.conf"
+        p.write_bytes(b"a = 1\nb = \xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8 text at byte offset 10"):
+            list(read_key_values(p))
+
     def test_comments_blanks_and_spacing(self, tmp_path):
         p = tmp_path / "kv.conf"
         p.write_text("# header\n\n  a = 1  # trailing\nb=x y\nc =\n")
@@ -272,6 +314,11 @@ class TestManifest:
     def test_malformed_line(self, tmp_path):
         (tmp_path / "m.tsv").write_text("train v.vtaf v.txt\n")
         with pytest.raises(FormatError):
+            load_manifest(tmp_path / "m.tsv")
+
+    def test_undecodable_bytes(self, tmp_path):
+        (tmp_path / "m.tsv").write_bytes(b"train\tv\xe9.vtaf\tv.txt\n")
+        with pytest.raises(FormatError, match="not UTF-8"):
             load_manifest(tmp_path / "m.tsv")
 
 

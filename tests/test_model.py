@@ -4,9 +4,9 @@ import pytest
 from vitals.errors import DataError, ParameterError, ShapeError
 from vitals.model import (ModelConfig, StagePredictions, cross_entropy_loss,
                           decoder_stage_forward, encoder_forward, init_params,
-                          model_forward, parameter_names, parameter_shapes, smoothing_loss,
-                          total_loss, windowed_self_attention)
-from vitals.tensor import Tensor
+                          cross_attention, model_forward, parameter_shapes, smoothing_loss,
+                          total_loss)
+from vitals.tensor import Tape, Tensor, backward
 
 
 def small_config(**kw):
@@ -46,7 +46,7 @@ class TestConfig:
 class TestParams:
     def test_names_and_shapes_deterministic(self):
         c = small_config()
-        names = parameter_names(c)
+        names = list(parameter_shapes(c))
         assert names[0] == "input_proj.weight"
         assert "fusion.weight" in names and "decoder2.classifier.bias" in names
         a = init_params(c, seed=7)
@@ -67,7 +67,6 @@ class TestParams:
         expected += [(f"decoder1.block{i}.{p}", s) for i in (1, 2) for p, s in block]
         expected += [("decoder1.classifier.weight", (4, 3)), ("decoder1.classifier.bias", (3,))]
         assert list(parameter_shapes(c).items()) == expected
-        assert parameter_names(c) == [name for name, _ in expected]
 
     def test_biases_zero_weights_bounded(self):
         c = small_config()
@@ -221,12 +220,12 @@ class TestLosses:
 
     def test_smoothing_zero_for_constant_logits(self):
         z = Tensor(np.tile(np.array([1.0, -2.0, 0.3]), (6, 1)))
-        assert float(smoothing_loss(z).data) == 0.0
+        assert float(smoothing_loss(z, z, 4.0).data) == 0.0
 
     def test_smoothing_matches_numpy_oracle(self):
         rng = np.random.default_rng(8)
         z = rng.standard_normal((7, 4)) * 3
-        val = float(smoothing_loss(Tensor(z), clamp=4.0).data)
+        val = float(smoothing_loss(Tensor(z), Tensor(z), 4.0).data)
         logp = z - z.max(axis=1, keepdims=True)
         logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
         delta = np.clip(logp[1:] - logp[:-1], -4.0, 4.0)
@@ -235,12 +234,27 @@ class TestLosses:
     def test_smoothing_clamp_caps_large_jumps(self):
         z = np.zeros((2, 2))
         z[1] = [40.0, -40.0]  # second coordinate's log-prob drops ~80 nats
-        val = float(smoothing_loss(Tensor(z), clamp=4.0).data)
+        val = float(smoothing_loss(Tensor(z), Tensor(z), 4.0).data)
         # first coordinate rises by log 2 (under the clamp); second saturates
         np.testing.assert_allclose(val, (np.log(2.0) ** 2 + 4.0 ** 2) / 2, rtol=1e-4)
 
+    def test_smoothing_reference_gets_no_gradient(self):
+        rng = np.random.default_rng(11)
+        z = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        prev = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = smoothing_loss(z, prev, 4.0)
+        backward(tape, loss)
+        assert prev.grad is None
+        assert z.grad is not None and np.abs(z.grad).max() > 0
+
+    def test_smoothing_reference_shape_must_match(self):
+        with pytest.raises(ShapeError, match="reference"):
+            smoothing_loss(Tensor(np.zeros((5, 3))), Tensor(np.zeros((4, 3))), 4.0)
+
     def test_smoothing_short_sequence_is_zero(self):
-        assert float(smoothing_loss(Tensor(np.zeros((1, 3)))).data) == 0.0
+        z = Tensor(np.zeros((1, 3)))
+        assert float(smoothing_loss(z, z, 4.0).data) == 0.0
 
     def test_total_loss_sums_stage_terms(self):
         c = small_config(smooth_weight=0.15)
@@ -253,7 +267,7 @@ class TestLosses:
             preds.logits.append(z)
             preds.probs.append(z)
             expected += float(cross_entropy_loss(z, labels).data)
-            expected += 0.15 * float(smoothing_loss(z, c.smooth_clamp).data)
+            expected += 0.15 * float(smoothing_loss(z, z, c.smooth_clamp).data)
         got = float(total_loss(preds, labels, c).data)
         np.testing.assert_allclose(got, expected, rtol=1e-6)
 
@@ -270,7 +284,7 @@ def test_self_attention_zero_query_gives_chunk_means():
     wk = Tensor(rng.standard_normal((h, h)).astype(np.float32))
     wv = Tensor(np.eye(h, dtype=np.float32))
     wo = Tensor(np.eye(h, dtype=np.float32))
-    out = windowed_self_attention(f, 4, wq, wk, wv, wo)
+    out = cross_attention(f, f, 4, wq, wk, wv, wo)
     for chunk in (0, 1):
         mean = f.data[4 * chunk: 4 * chunk + 4].mean(axis=0)
         for t in range(4 * chunk, 4 * chunk + 4):

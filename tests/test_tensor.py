@@ -221,35 +221,49 @@ class TestRelu:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.random.default_rng(4).standard_normal((5, 5)))
-        out = T.dropout(x, 0.0, rng=0, training=True)
+        out = T.dropout(x, 0.0, rng=np.random.default_rng(0), training=True)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_inference_identity(self):
         x = Tensor(np.random.default_rng(5).standard_normal((5, 5)))
-        out = T.dropout(x, 0.3, rng=0, training=False)
+        out = T.dropout(x, 0.3, rng=np.random.default_rng(0), training=False)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_identity_returns_input_and_records_nothing(self):
         x = t64(np.ones((3, 2)))
         with Tape() as tape:
-            assert T.dropout(x, 0.3, rng=0, training=False) is x
-            assert T.dropout(x, 0.0, rng=0, training=True) is x
+            assert T.dropout(x, 0.3, rng=np.random.default_rng(0), training=False) is x
+            assert T.dropout(x, 0.0, rng=np.random.default_rng(0), training=True) is x
         assert tape.nodes == []
 
     def test_expectation_preserved(self):
         x = Tensor(np.ones((100_000,), dtype=np.float32))
-        out = T.dropout(x, 0.5, rng=123, training=True)
+        out = T.dropout(x, 0.5, rng=np.random.default_rng(123), training=True)
         assert abs(out.data.mean() - 1.0) < 0.01
 
     def test_seed_reproducibility(self):
         x = Tensor(np.ones((64,), dtype=np.float32))
-        a = T.dropout(x, 0.4, rng=9, training=True)
-        b = T.dropout(x, 0.4, rng=9, training=True)
+        a = T.dropout(x, 0.4, rng=np.random.default_rng(9), training=True)
+        b = T.dropout(x, 0.4, rng=np.random.default_rng(9), training=True)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_bad_rate(self):
         with pytest.raises(ParameterError):
-            T.dropout(Tensor([1.0]), 1.0, rng=0, training=True)
+            T.dropout(Tensor([1.0]), 1.0, rng=np.random.default_rng(0), training=True)
+
+    @pytest.mark.parametrize("rng", [None, 0], ids=["none", "seed"])
+    def test_training_mask_needs_generator(self, rng):
+        with pytest.raises(ParameterError, match="Generator"):
+            T.dropout(Tensor(np.ones((4, 4))), 0.3, rng=rng, training=True)
+
+    def test_training_forward_needs_generator(self):
+        config = ModelConfig(num_phases=3, input_dim=4, hidden_dim=4, num_layers=1,
+                             num_decoders=0, dropout_rate=0.3)
+        params = init_params(config, 0)
+        E = Tensor(np.ones((5, 4), dtype=np.float32))
+        with pytest.raises(ParameterError, match="Generator"):
+            model_forward(E, params, config, training=True)
+        model_forward(E, params, config, training=False)  # inference needs no rng
 
 
 class TestBackward:
