@@ -15,7 +15,8 @@ import numpy as np
 from . import gradcheck as gc
 from . import metrics as M
 from .data import (ManifestEntry, SyntheticSpec, generate_synthetic_video, load_features,
-                   read_key_values, save_features, write_annotations, write_manifest)
+                   read_feature_header, read_key_values, save_features, write_annotations,
+                   write_manifest)
 from .errors import ConfigError, VitalsError
 from .train import (evaluate, infer, load_checkpoint, load_manifest, model_config_from_train,
                     parse_config, save_checkpoint, train)
@@ -125,7 +126,8 @@ def cmd_train(args):
     train_entries = [e for e in entries if e.split == "train"]
     if not train_entries:
         raise ConfigError(f"{args.manifest}: no train entries")
-    input_dim = load_features(train_entries[0].feature_path).d
+    with open(train_entries[0].feature_path, "rb") as f:  # train() loads the payload
+        _, input_dim, _ = read_feature_header(f, train_entries[0].feature_path)
     model_config = model_config_from_train(train_config, input_dim, overrides)
     ckpt, _ = train(entries, model_config, train_config, log_path=args.log)
     save_checkpoint(args.out_checkpoint, ckpt)

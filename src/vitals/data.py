@@ -14,6 +14,7 @@ File formats (all little-endian / UTF-8):
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +27,8 @@ from .errors import (ConfigError, CoverageError, CorruptionError, DataError, For
 FEATURE_MAGIC = b"VTAF"
 FEATURE_VERSION = 1
 DOWNSAMPLE_LIMIT = 15000
+# feature values one synthetic video may hold: 4 GiB of float32
+SYNTHETIC_MAX_VALUES = 2**30
 
 
 @dataclass
@@ -88,27 +91,42 @@ def save_features(path, seq: FeatureSequence):
     header = FEATURE_MAGIC + struct.pack("<IQII", FEATURE_VERSION, seq.n, seq.d, seq.fps)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(seq.data.astype("<f4").tobytes())
+        f.write(np.ascontiguousarray(seq.data, dtype="<f4"))  # the array's own buffer, no copy
+
+
+def read_feature_header(f, path):
+    """Validate the header of an open feature file and its size on disk;
+    returns (n, d, fps) and leaves `f` at the first payload byte."""
+    head = f.read(24)
+    if head[:4] != FEATURE_MAGIC:
+        raise FormatError(f"{path}: bad magic {head[:4]!r}, expected {FEATURE_MAGIC!r}")
+    if len(head) < 24:
+        raise CorruptionError(f"{path}: truncated header", offset=len(head))
+    version, n, d, fps = struct.unpack("<IQII", head[4:])
+    if version != FEATURE_VERSION:
+        raise FormatError(f"{path}: unsupported feature file version {version}")
+    size = os.fstat(f.fileno()).st_size
+    expected = 24 + n * d * 4
+    if size < expected:
+        raise CorruptionError(f"{path}: payload truncated, expected {expected} bytes", offset=size)
+    if size > expected:
+        raise CorruptionError(f"{path}: {size - expected} trailing bytes", offset=expected)
+    if n < 1 or d < 1:  # before a reshape, which fails on n >= 2**63 rows of width 0
+        raise DataError(f"{path}: features must be a nonempty n x d matrix, got ({n}, {d})")
+    return n, d, fps
 
 
 def load_features(path) -> FeatureSequence:
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {FEATURE_MAGIC!r}")
-    if len(blob) < 24:
-        raise CorruptionError(f"{path}: truncated header", offset=len(blob))
-    version, n, d, fps = struct.unpack("<IQII", blob[4:24])
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported feature file version {version}")
-    expected = 24 + n * d * 4
-    if len(blob) < expected:
-        raise CorruptionError(f"{path}: payload truncated, expected {expected} bytes", offset=len(blob))
-    if len(blob) > expected:
-        raise CorruptionError(f"{path}: {len(blob) - expected} trailing bytes", offset=expected)
-    data = np.frombuffer(blob, dtype="<f4", count=n * d, offset=24).reshape(n, d).copy()
+    with open(path, "rb") as f:
+        n, d, fps = read_feature_header(f, path)
+        data = np.fromfile(f, dtype="<f4", count=n * d)
+    if data.size != n * d:  # the file shrank after its size was checked
+        raise CorruptionError(f"{path}: payload truncated, expected {24 + n * d * 4} bytes",
+                              offset=24 + 4 * data.size)
+    data = data.reshape(n, d)
     # min and max propagate NaN and +-inf without an n x d temporary
-    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
         first = int(np.flatnonzero(~np.isfinite(data))[0])
         raise CorruptionError(f"{path}: non-finite feature value {data.flat[first]} at frame "
                               f"{first // d}", offset=24 + 4 * first)
@@ -328,8 +346,22 @@ def phase_centroids(spec: SyntheticSpec):
     return (basis * spec.separation).T  # K x d
 
 
+def _phase_block(rng, centroid, frames, spec):
+    """One phase's frames as float32: the centroid plus noise drawn in float64."""
+    if spec.noise_std > 0:
+        block = rng.normal(0.0, spec.noise_std, size=(frames, spec.feature_dim))
+        block += centroid  # in place: the same float64 sums as centroid + block
+        return block.astype(np.float32)
+    return np.broadcast_to(centroid, (frames, spec.feature_dim)).astype(np.float32)
+
+
 def generate_synthetic_video(spec: SyntheticSpec, seed, video_id=None):
-    """Draw one (FeatureSequence, LabelSequence) pair, deterministic per seed."""
+    """Draw one (FeatureSequence, LabelSequence) pair, deterministic per seed.
+
+    A phase whose drawn duration is not a finite frame count, or that would
+    take the video above SYNTHETIC_MAX_VALUES feature values, is a
+    ParameterError raised before its frames are allocated.
+    """
     rng = np.random.default_rng(seed)
     centroids = phase_centroids(spec)
     for _ in range(100):
@@ -339,21 +371,25 @@ def generate_synthetic_video(spec: SyntheticSpec, seed, video_id=None):
     else:
         raise ParameterError("skip probabilities rejected every phase repeatedly")
 
-    labels = []
-    chunks = []
+    counts = []
+    blocks = []
     for k in kept:
         mean, std = spec.durations[k]
         minutes = rng.normal(mean, std) if std > 0 else mean
-        frames = max(1, int(minutes * 60 * spec.fps))
-        labels.extend([k] * frames)
-        if spec.noise_std > 0:
-            block = centroids[k] + rng.normal(0.0, spec.noise_std, size=(frames, spec.feature_dim))
-        else:
-            block = np.tile(centroids[k], (frames, 1))
-        chunks.append(block)
+        frames = minutes * 60 * spec.fps
+        if not math.isfinite(frames):
+            raise ParameterError(f"phase {k}: drawn duration of {minutes} minutes at "
+                                 f"{spec.fps} fps is not a finite frame count")
+        frames = max(1, int(frames))
+        total = (sum(counts) + frames) * spec.feature_dim
+        if total > SYNTHETIC_MAX_VALUES:
+            raise ParameterError(f"phase {k}: {frames} frames would bring the video to {total} "
+                                 f"feature values, above the limit of {SYNTHETIC_MAX_VALUES}")
+        counts.append(frames)
+        blocks.append(_phase_block(rng, centroids[k], frames, spec))
     features = FeatureSequence(video_id=video_id or f"synthetic-{seed}",
-                               data=np.vstack(chunks).astype(np.float32), fps=spec.fps)
-    return features, LabelSequence(labels=np.asarray(labels), num_phases=spec.num_phases)
+                               data=np.concatenate(blocks), fps=spec.fps)
+    return features, LabelSequence(labels=np.repeat(kept, counts), num_phases=spec.num_phases)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ class TrainConfig:
             raise ParameterError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
+        if self.seed < 0:  # numpy's generators take only nonnegative seeds
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.balancing not in ("class-weights", "none"):
             raise ParameterError(f"unknown balancing mode {self.balancing!r}")
 
@@ -311,19 +313,23 @@ class _Video:
     weights: np.ndarray = None
 
 
-def load_videos(entries, split, num_phases, downsample_limit=DOWNSAMPLE_LIMIT):
-    videos = []
-    for e in entries:
-        if e.split != split:
-            continue
-        seq = load_features(e.feature_path)
-        lab = parse_annotations(e.annotation_path, seq.n, num_phases)
+def _split_entries(entries, split):
+    """The split's manifest entries in video id (feature file stem) order."""
+    return sorted((e for e in entries if e.split == split), key=lambda e: Path(e.feature_path).stem)
+
+
+def _load_video(entry, num_phases, downsample_limit=DOWNSAMPLE_LIMIT):
+    seq = load_features(entry.feature_path)
+    lab = parse_annotations(entry.annotation_path, seq.n, num_phases)
+    features, labels = seq.data, lab.labels
+    if seq.n > downsample_limit:  # below the limit the indices are the identity
         idx = downsample_indices(seq.n, downsample_limit)
-        videos.append(_Video(video_id=seq.video_id,
-                             features=seq.data[idx],
-                             labels=lab.labels[idx]))
-    videos.sort(key=lambda v: v.video_id)
-    return videos
+        features, labels = features[idx], labels[idx]
+    return _Video(video_id=seq.video_id, features=features, labels=labels)
+
+
+def load_videos(entries, split, num_phases, downsample_limit=DOWNSAMPLE_LIMIT):
+    return [_load_video(e, num_phases, downsample_limit) for e in _split_entries(entries, split)]
 
 
 def _resolve_entries(manifest):
@@ -439,21 +445,21 @@ def infer(ckpt: Checkpoint, features, source) -> StagePredictions:
 def evaluate(ckpt: Checkpoint, manifest, split) -> EvaluationResult:
     """Frozen-parameter evaluation of one manifest split."""
     config = ckpt.model_config
-    entries = _resolve_entries(manifest)
-    try:
-        videos = load_videos(entries, split, config.num_phases)
-    except DataError as err:
-        raise ConfigError(f"data does not match checkpoint phase count: {err}") from err
-    if not videos:
+    entries = _split_entries(_resolve_entries(manifest), split)
+    if not entries:
         raise DataError(f"no videos in split {split!r}: nothing to report")
 
-    def run(v):
+    def run(entry):  # one video is held at a time: loaded, run and dropped on return
+        try:
+            v = _load_video(entry, config.num_phases)
+        except DataError as err:
+            raise ConfigError(f"data does not match checkpoint phase count: {err}") from err
         preds = infer(ckpt, v.features, f"video {v.video_id}")
         final = M.video_report(v.labels, preds.argmax(-1), config.num_phases, v.video_id)
         stage0 = M.video_report(v.labels, preds.argmax(0), config.num_phases, v.video_id)
         return final, stage0
 
-    results = [run(v) for v in videos]  # in video id order, as load_videos sorts
+    results = [run(e) for e in entries]
     final_reports = [r[0] for r in results]
     stage0_reports = [r[1] for r in results]
     return EvaluationResult(

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import pytest
 
@@ -16,3 +17,22 @@ def _edit_checkpoint_meta(path, edit):
 @pytest.fixture
 def edit_checkpoint_meta():
     return _edit_checkpoint_meta
+
+
+def _traced_peak(fn):
+    """(fn(), tracemalloc peak in bytes above what was allocated before the
+    call). fn runs once untraced first, so one-off lazy imports and caches
+    are not counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import vitals.cli
+import vitals.train
 from vitals.cli import main, read_spec_file, write_spec_file
 from vitals.data import (SyntheticSpec, load_features, load_manifest,
                          parse_annotation_segments)
@@ -99,7 +101,8 @@ class TestExitCodes:
         ({"learning_rate": "nan"}, "learning_rate"),
         ({"weight_decay": "-1"}, "weight_decay"),
         ({"dropout": 1.5}, "dropout_rate"),
-    ], ids=["nan_learning_rate", "negative_weight_decay", "dropout_above_one"])
+        ({"seed": -1}, "seed must be >= 0"),
+    ], ids=["nan_learning_rate", "negative_weight_decay", "dropout_above_one", "negative_seed"])
     def test_bad_train_config(self, tmp_path, dataset, capsys, kw, message):
         config = write_config(tmp_path / "t.conf", **kw)
         assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
@@ -123,8 +126,10 @@ class TestExitCodes:
         ("phase.2 = inf,1", "duration"),
         ("phase.2 = nan,1", "duration"),
         ("phase.2 = 1,0,2", "skip"),
+        ("phase.2 = 1e300,0", "above the limit"),
+        ("phase.2 = 1e6,0", "phase 2: 60000000 frames"),
     ], ids=["negative_fps", "text_fps", "nan_separation", "inf_noise", "inf_duration",
-            "nan_duration", "skip_above_one"])
+            "nan_duration", "skip_above_one", "duration_1e300", "duration_1e6"])
     def test_bad_spec(self, tmp_path, capsys, line, message):
         spec = tmp_path / "spec.conf"
         spec.write_text(f"{line}\nphase.0 = 1,0\nphase.1 = 1,0\n")
@@ -143,6 +148,21 @@ class TestExitCodes:
                    "--out-checkpoint", str(tmp_path / "c.vtck")) == 1
         assert "non-finite feature value" in capsys.readouterr().err
         assert not (tmp_path / "c.vtck").exists()
+
+    def test_bad_video_mid_split(self, tmp_path, dataset, capsys):
+        ckpt = tmp_path / "model.vtck"
+        assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
+                   str(write_config(tmp_path / "t.conf", epochs=1)),
+                   "--out-checkpoint", str(ckpt)) == 0
+        bad = dataset / "video001.txt"  # the second of four train videos
+        lines = bad.read_text().splitlines()
+        lines[0] = "7," + lines[0].split(",", 1)[1]  # no phase 7 in a 3-phase model
+        bad.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "r.txt"
+        assert run("eval", "--checkpoint", str(ckpt), "--manifest", str(dataset / "manifest.tsv"),
+                   "--split", "train", "--report", str(report)) == 1
+        assert "data does not match checkpoint phase count" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_incomplete_optimizer_state(self, tmp_path, dataset, capsys):
         ckpt = tmp_path / "model.vtck"
@@ -254,6 +274,21 @@ class TestPipeline:
                    "--features", str(other / "video000.vtaf"),
                    "--out", str(tmp_path / "p.txt"))
         assert code == 1
+
+    def test_train_reads_each_feature_file_once(self, tmp_path, dataset, monkeypatch):
+        loaded = []
+
+        def counting(path):
+            loaded.append(path)
+            return load_features(path)
+        for module in (vitals.cli, vitals.train):
+            monkeypatch.setattr(module, "load_features", counting)
+        assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
+                   str(write_config(tmp_path / "t.conf", epochs=1)),
+                   "--out-checkpoint", str(tmp_path / "c.vtck")) == 0
+        train_paths = [e.feature_path for e in load_manifest(dataset / "manifest.tsv")
+                       if e.split == "train"]
+        assert sorted(loaded) == sorted(train_paths)
 
     def test_train_config_with_unknown_key(self, tmp_path, dataset):
         bad = tmp_path / "bad.conf"

@@ -1,13 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
 
+import vitals.data
 from vitals.data import (DEFAULT_PHASE_DURATIONS, FeatureSequence, LabelSequence,
                          ManifestEntry, PhaseSegment, SyntheticSpec, class_weights,
                          downsample_indices, generate_synthetic_video,
                          labels_from_segments, load_features, load_manifest,
-                         parse_annotations, phase_centroids, read_key_values,
-                         save_features, segments_from_labels, write_annotations,
-                         write_manifest)
+                         parse_annotations, phase_centroids, read_feature_header,
+                         read_key_values, save_features, segments_from_labels,
+                         write_annotations, write_manifest)
 from vitals.errors import (ConfigError, CorruptionError, CoverageError, DataError,
                            FormatError, ParameterError)
 
@@ -65,6 +68,30 @@ class TestFeatureFiles:
     def test_empty_features_rejected(self):
         with pytest.raises(DataError):
             FeatureSequence("x", np.zeros((0, 4), dtype=np.float32))
+
+    def test_header_reader_stops_at_payload(self, tmp_path):
+        path = tmp_path / "x.vtaf"
+        save_features(path, FeatureSequence("x", np.arange(6.0).reshape(2, 3), fps=4))
+        with open(path, "rb") as f:
+            assert read_feature_header(f, path) == (2, 3, 4)
+            assert f.tell() == 24
+
+    @pytest.mark.parametrize("n,d", [(2**63, 0), (2**64 - 1, 0), (0, 5)])
+    def test_empty_header_shape_rejected(self, tmp_path, n, d):
+        path = tmp_path / "x.vtaf"
+        path.write_bytes(b"VTAF" + struct.pack("<IQII", 1, n, d, 1))
+        with pytest.raises(DataError, match="nonempty"):
+            load_features(path)
+
+    def test_file_shrinking_after_size_check(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.vtaf"
+        save_features(path, FeatureSequence("x", np.ones((4, 4), dtype=np.float32)))
+        full = path.stat()
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(vitals.data.os, "fstat", lambda fd: full)
+        with pytest.raises(CorruptionError, match="payload truncated") as err:
+            load_features(path)
+        assert err.value.offset == 24 + 4 * 14
 
 
 class TestAnnotations:
@@ -259,10 +286,104 @@ class TestSynthetic:
         with pytest.raises(ParameterError, match="duration"):
             SyntheticSpec(durations=[(1.0, 0.0), duration], feature_dim=4)
 
+    def test_unbounded_duration_rejected(self):
+        spec = self.small_spec(durations=[(0.05, 0.0), (1e300, 0.0)])
+        with pytest.raises(ParameterError, match="phase 1: .* above the limit"):
+            generate_synthetic_video(spec, seed=0)
+
+    def test_non_finite_frame_count_rejected(self):
+        # 1e308 minutes is finite, 60 times it is not
+        spec = self.small_spec(durations=[(1e308, 0.0), (0.05, 0.0)])
+        with pytest.raises(ParameterError, match="phase 0: .* not a finite frame count"):
+            generate_synthetic_video(spec, seed=0)
+
+    def test_size_limit_counts_every_phase(self, monkeypatch):
+        # 3 frames x 8 values per phase: each phase fits alone, the third
+        # takes the video past a limit of 64 values
+        monkeypatch.setattr(vitals.data, "SYNTHETIC_MAX_VALUES", 64)
+        with pytest.raises(ParameterError, match="phase 2: 3 frames .* 72 feature values"):
+            generate_synthetic_video(self.small_spec(), seed=0)
+
     @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
     def test_skip_probabilities_in_unit_interval(self, p):
         with pytest.raises(ParameterError, match="skip"):
             SyntheticSpec(durations=[(1.0, 0.0)] * 2, feature_dim=4, skip_prob=[0.0, p])
+
+
+def reference_generate(spec, seed):
+    """`generate_synthetic_video` as it was before it kept float32 blocks:
+    float64 phase blocks, a float64 vstack, then one cast to float32."""
+    rng = np.random.default_rng(seed)
+    centroids = phase_centroids(spec)
+    for _ in range(100):
+        kept = [k for k in range(spec.num_phases) if rng.random() >= spec.skip_prob[k]]
+        if kept:
+            break
+    labels, chunks = [], []
+    for k in kept:
+        mean, std = spec.durations[k]
+        minutes = rng.normal(mean, std) if std > 0 else mean
+        frames = max(1, int(minutes * 60 * spec.fps))
+        labels.extend([k] * frames)
+        if spec.noise_std > 0:
+            block = centroids[k] + rng.normal(0.0, spec.noise_std, size=(frames, spec.feature_dim))
+        else:
+            block = np.tile(centroids[k], (frames, 1))
+        chunks.append(block)
+    return np.vstack(chunks).astype(np.float32), np.asarray(labels)
+
+
+def reference_save(path, seq):
+    """`save_features` as it was before it wrote the array's own buffer."""
+    with open(path, "wb") as f:
+        f.write(b"VTAF" + struct.pack("<IQII", 1, seq.n, seq.d, seq.fps))
+        f.write(seq.data.astype("<f4").tobytes())
+
+
+class TestCopyFree:
+    """Generation, writing and loading match the references bit for bit
+    and hold at most about two copies of the output (tracemalloc)."""
+
+    SPECS = {
+        "noise": SyntheticSpec(durations=[(0.5, 0.2)] * 4, feature_dim=16),
+        "no_noise": SyntheticSpec(durations=[(0.5, 0.2)] * 4, feature_dim=16, noise_std=0.0),
+        "skip": SyntheticSpec(durations=[(0.4, 0.3)] * 5, feature_dim=8,
+                              skip_prob=[0.3, 0.5, 0.0, 0.9, 0.2], separation=2.0),
+        "fps3": SyntheticSpec(durations=[(0.3, 0.1)] * 3, fps=3, feature_dim=12, noise_std=2.0),
+    }
+    # 285 frames x 256 values: a payload of 0.28 MB
+    BIG = SyntheticSpec(durations=[(1.5, 0.0), (2.0, 0.0), (1.25, 0.0)], feature_dim=256)
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_generate_and_save_match_reference(self, tmp_path, name):
+        spec = self.SPECS[name]
+        for seed in range(5):
+            feats, labels = generate_synthetic_video(spec, seed)
+            ref_data, ref_labels = reference_generate(spec, seed)
+            assert feats.data.dtype == np.float32
+            np.testing.assert_array_equal(feats.data, ref_data)
+            np.testing.assert_array_equal(labels.labels, ref_labels)
+            save_features(tmp_path / "new.vtaf", feats)
+            reference_save(tmp_path / "ref.vtaf", feats)
+            assert (tmp_path / "new.vtaf").read_bytes() == (tmp_path / "ref.vtaf").read_bytes()
+
+    def test_generate_peak(self, traced_peak):
+        # the reference peaks at 5.0x the payload (float64 blocks, vstack and cast)
+        (feats, _), peak = traced_peak(lambda: generate_synthetic_video(self.BIG, 0))
+        assert feats.n == 285
+        assert peak < 2.3 * feats.data.nbytes
+
+    def test_save_copies_nothing(self, tmp_path, traced_peak):
+        feats, _ = generate_synthetic_video(self.BIG, 0)
+        _, peak = traced_peak(lambda: save_features(tmp_path / "v.vtaf", feats))
+        assert peak < 0.1 * feats.data.nbytes  # the reference: 2.0x
+
+    def test_load_reads_payload_once(self, tmp_path, traced_peak):
+        feats, _ = generate_synthetic_video(self.BIG, 0)
+        save_features(tmp_path / "v.vtaf", feats)
+        back, peak = traced_peak(lambda: load_features(tmp_path / "v.vtaf"))
+        np.testing.assert_array_equal(back.data, feats.data)
+        assert peak < 1.2 * feats.data.nbytes  # the reference: 2.0x
 
 
 class TestKeyValues:

@@ -109,6 +109,14 @@ class TestConfigFile:
         with pytest.raises(ParameterError):
             TrainConfig(balancing="oversample")
 
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match="seed"):
+            TrainConfig(seed=-1)
+        p = tmp_path / "c.conf"
+        p.write_text("phases = 3\nseed = -1\n")
+        with pytest.raises(ParameterError, match="seed"):
+            parse_config(p)
+
     @pytest.mark.parametrize("line", ["learning_rate = nan", "learning_rate = inf",
                                       "learning_rate = -0.1", "weight_decay = nan",
                                       "weight_decay = -1e-5", "weight_decay = inf"])
@@ -407,3 +415,41 @@ class TestEvaluate:
         ck, _ = run_train(manifest, small_model(), TrainConfig(epochs=1, seed=0))
         with pytest.raises(DataError, match="test"):
             evaluate(ck, manifest, "test")
+
+    def test_reports_in_video_id_order_whatever_the_manifest_lists(self, tmp_path):
+        ck, manifest = self.trained(tmp_path)
+        lines = manifest.read_text().splitlines()
+        reordered = tmp_path / "reordered.tsv"
+        reordered.write_text("\n".join([lines[2], lines[0], lines[1]] + lines[3:]) + "\n")
+        want = evaluate(ck, manifest, "train")
+        got = evaluate(ck, reordered, "train")
+        assert [r.video_id for r in got.reports] == ["video000", "video001", "video002"]
+        assert got == want
+
+    def test_bad_video_mid_split_is_config_error(self, tmp_path):
+        manifest = make_dataset(tmp_path, n_train=2, n_test=3)
+        ck, _ = run_train(manifest, small_model(), TrainConfig(epochs=1, seed=0))
+        bad = tmp_path / "video003.txt"  # the middle of the test split
+        lines = bad.read_text().splitlines()
+        lines[0] = "7," + lines[0].split(",", 1)[1]  # no phase 7 in a 3-phase checkpoint
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="video003.txt: phase 7 out of range"):
+            evaluate(ck, manifest, "test")
+
+    def test_holds_one_video_at_a_time(self, tmp_path, traced_peak):
+        # four videos of 285 frames x 256 values (0.28 MB each); loading the
+        # whole split first peaked at 6.1 payloads
+        spec = SyntheticSpec(durations=[(1.5, 0.0), (2.0, 0.0), (1.25, 0.0)], feature_dim=256)
+        entries = []
+        for i in range(4):
+            feats, labels = generate_synthetic_video(spec, seed=i, video_id=f"v{i}")
+            save_features(tmp_path / f"v{i}.vtaf", feats)
+            write_annotations(tmp_path / f"v{i}.txt", labels.labels)
+            entries.append(ManifestEntry("test", tmp_path / f"v{i}.vtaf", tmp_path / f"v{i}.txt"))
+        payload = feats.data.nbytes
+        del feats, labels
+        config = small_model(input_dim=256)
+        ck = Checkpoint(config, {k: p.data for k, p in init_params(config, 0).items()})
+        result, peak = traced_peak(lambda: evaluate(ck, entries, "test"))
+        assert len(result.reports) == 4
+        assert peak < 2 * payload
