@@ -164,6 +164,10 @@ def cmd_synth(args):
         return 0
     if not args.spec or not args.out_dir or args.videos < 1:
         raise ConfigError("synth requires --spec, --out-dir and --videos >= 1")
+    if not 0 <= args.train_fraction <= 1:  # false for NaN too
+        raise ConfigError(f"--train-fraction must be in [0, 1], got {args.train_fraction}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     spec = read_spec_file(args.spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

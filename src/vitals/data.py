@@ -26,6 +26,8 @@ from .errors import (ConfigError, CoverageError, CorruptionError, DataError, For
 
 FEATURE_MAGIC = b"VTAF"
 FEATURE_VERSION = 1
+# magic, version, n, d, fps: the 24 bytes before a feature file's payload
+FEATURE_HEADER = struct.Struct("<4sIQII")
 DOWNSAMPLE_LIMIT = 15000
 # feature values one synthetic video may hold: 4 GiB of float32
 SYNTHETIC_MAX_VALUES = 2**30
@@ -88,25 +90,24 @@ class PhaseSegment:
 
 def save_features(path, seq: FeatureSequence):
     path = Path(path)
-    header = FEATURE_MAGIC + struct.pack("<IQII", FEATURE_VERSION, seq.n, seq.d, seq.fps)
     with open(path, "wb") as f:
-        f.write(header)
+        f.write(FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, seq.n, seq.d, seq.fps))
         f.write(np.ascontiguousarray(seq.data, dtype="<f4"))  # the array's own buffer, no copy
 
 
 def read_feature_header(f, path):
     """Validate the header of an open feature file and its size on disk;
     returns (n, d, fps) and leaves `f` at the first payload byte."""
-    head = f.read(24)
+    head = f.read(FEATURE_HEADER.size)
     if head[:4] != FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic {head[:4]!r}, expected {FEATURE_MAGIC!r}")
-    if len(head) < 24:
+    if len(head) < FEATURE_HEADER.size:
         raise CorruptionError(f"{path}: truncated header", offset=len(head))
-    version, n, d, fps = struct.unpack("<IQII", head[4:])
+    _, version, n, d, fps = FEATURE_HEADER.unpack(head)
     if version != FEATURE_VERSION:
         raise FormatError(f"{path}: unsupported feature file version {version}")
     size = os.fstat(f.fileno()).st_size
-    expected = 24 + n * d * 4
+    expected = FEATURE_HEADER.size + n * d * 4
     if size < expected:
         raise CorruptionError(f"{path}: payload truncated, expected {expected} bytes", offset=size)
     if size > expected:
@@ -122,14 +123,15 @@ def load_features(path) -> FeatureSequence:
         n, d, fps = read_feature_header(f, path)
         data = np.fromfile(f, dtype="<f4", count=n * d)
     if data.size != n * d:  # the file shrank after its size was checked
-        raise CorruptionError(f"{path}: payload truncated, expected {24 + n * d * 4} bytes",
-                              offset=24 + 4 * data.size)
+        raise CorruptionError(f"{path}: payload truncated, expected "
+                              f"{FEATURE_HEADER.size + n * d * 4} bytes",
+                              offset=FEATURE_HEADER.size + 4 * data.size)
     data = data.reshape(n, d)
     # min and max propagate NaN and +-inf without an n x d temporary
     if not (np.isfinite(data.min()) and np.isfinite(data.max())):
         first = int(np.flatnonzero(~np.isfinite(data))[0])
         raise CorruptionError(f"{path}: non-finite feature value {data.flat[first]} at frame "
-                              f"{first // d}", offset=24 + 4 * first)
+                              f"{first // d}", offset=FEATURE_HEADER.size + 4 * first)
     return FeatureSequence(video_id=path.stem, data=data, fps=fps)
 
 

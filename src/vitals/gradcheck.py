@@ -18,6 +18,7 @@ import numpy as np
 
 from . import model as mdl
 from . import tensor as T
+from .errors import ParameterError
 from .model import ModelConfig, cross_entropy_loss, init_params, model_forward, smoothing_loss, total_loss
 from .tensor import Tensor, finite_difference_check
 
@@ -222,6 +223,8 @@ def run_suite(seeds=10, corrupt=None):
     broken for the run (negative control; the op's own check, and every
     check whose function records it, must then fail).
     """
+    if seeds < 1:  # with no seed every check would report an error of 0
+        raise ParameterError(f"seeds must be >= 1, got {seeds}")
     if corrupt is not None and corrupt not in OPS:
         raise ValueError(f"cannot corrupt unknown op {corrupt!r}; choose one of {', '.join(OPS)}")
     results = {}

@@ -30,6 +30,8 @@ from .tensor import Tape, Tensor, backward
 
 CHECKPOINT_MAGIC = b"VTCK"
 CHECKPOINT_VERSION = 1
+# magic, version, metadata length: the 12 bytes before the JSON metadata
+CHECKPOINT_HEADER = struct.Struct("<4sII")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -139,65 +141,66 @@ class Checkpoint:
     epoch: int = 0
 
 
-def _write_tensor(f, name, arr):
+def checkpoint_layout(config: ModelConfig, adam_t=None):
+    """Record name -> shape of every tensor a checkpoint holds, in file order.
+
+    The parameters come in `parameter_shapes` order, then every ``adam.m:``
+    moment, then every ``adam.v:`` moment. adam_step gives every parameter
+    both moments on its first step, so the moments are there exactly when
+    the optimizer has stepped (adam_t > 0).
+    """
+    shapes = parameter_shapes(config)
+    prefixes = ("", "adam.m:", "adam.v:") if adam_t else ("",)
+    return {prefix + name: shape for prefix in prefixes for name, shape in shapes.items()}
+
+
+def _record_header(name, shape):
+    """The bytes before a tensor's float32 payload: name length, UTF-8 name,
+    rank, then the shape as u64s."""
     encoded = name.encode("utf-8")
-    f.write(struct.pack("<I", len(encoded)))
-    f.write(encoded)
-    f.write(struct.pack("<I", arr.ndim))
-    f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-    f.write(arr.astype("<f4").tobytes())
+    return struct.pack(f"<I{len(encoded)}sI{len(shape)}Q", len(encoded), encoded, len(shape), *shape)
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
-    """Write a sibling temp file, then rename it over `path`: a reader sees
-    the old checkpoint or the complete new one, never a partial write."""
+    """Write the records of `checkpoint_layout` to a sibling temp file, then
+    rename it over `path`: a reader sees the old checkpoint or the complete
+    new one, never a partial write. Tensors that are not exactly the layout
+    are a ParameterError, raised before any file is opened."""
+    adam_t = ckpt.adam.t if ckpt.adam is not None else None
+    tensors = dict(ckpt.params)
+    if ckpt.adam is not None:
+        tensors.update({f"adam.m:{k}": a for k, a in ckpt.adam.m.items()})
+        tensors.update({f"adam.v:{k}": a for k, a in ckpt.adam.v.items()})
+    layout = checkpoint_layout(ckpt.model_config, adam_t)
+    given = {name: np.shape(a) for name, a in tensors.items()}
+    wrong = sorted(name for name in given.keys() | layout.keys()
+                   if given.get(name) != layout.get(name))
+    if wrong:
+        raise ParameterError(f"checkpoint tensors {wrong} are missing, unexpected or misshaped "
+                             f"for the model config (adam_t={adam_t})")
     meta = {
         "model_config": ckpt.model_config.to_dict(),
         "epoch": ckpt.epoch,
         "rng_state": ckpt.rng_state,
-        "adam_t": ckpt.adam.t if ckpt.adam is not None else None,
-        "param_names": list(ckpt.params.keys()),
+        "adam_t": adam_t,
+        "param_names": list(parameter_shapes(ckpt.model_config)),
     }
     blob = json.dumps(meta).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(struct.pack("<I", len(blob)))
+            f.write(CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)))
             f.write(blob)
-            for name, arr in ckpt.params.items():
-                _write_tensor(f, name, arr)
-            if ckpt.adam is not None:
-                for name, arr in ckpt.adam.m.items():
-                    _write_tensor(f, f"adam.m:{name}", arr)
-                for name, arr in ckpt.adam.v.items():
-                    _write_tensor(f, f"adam.v:{name}", arr)
+            for name, shape in layout.items():
+                f.write(_record_header(name, shape))
+                f.write(np.ascontiguousarray(tensors[name], dtype="<f4"))  # no copy when float32
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-class _Reader:
-    def __init__(self, blob, path):
-        self.blob = blob
-        self.path = path
-        self.pos = 0
-
-    def take(self, count):
-        if self.pos + count > len(self.blob):
-            raise CorruptionError(f"{self.path}: checkpoint truncated", offset=len(self.blob))
-        out = self.blob[self.pos: self.pos + count]
-        self.pos += count
-        return out
-
-    @property
-    def remaining(self):
-        return len(self.blob) - self.pos
 
 
 def _model_config_from_meta(path, meta) -> ModelConfig:
@@ -222,79 +225,62 @@ def _model_config_from_meta(path, meta) -> ModelConfig:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    r = _Reader(blob, path)
-    r.take(4)
-    (version,) = struct.unpack("<I", r.take(4))
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    (blen,) = struct.unpack("<I", r.take(4))
-    try:
-        meta = json.loads(r.take(blen).decode("utf-8"))
-    except ValueError as err:  # bad UTF-8 or bad JSON
-        raise CorruptionError(f"{path}: unreadable checkpoint metadata: {err}") from None
-    model_config = _model_config_from_meta(path, meta)
-    adam_t = meta.get("adam_t")
-    if adam_t is not None and (type(adam_t) is not int or adam_t < 0):
-        raise CorruptionError(f"{path}: adam_t must be a nonnegative integer, got {adam_t!r}")
-    epoch = meta.get("epoch")
-    if type(epoch) is not int or epoch < 0:
-        raise CorruptionError(f"{path}: epoch must be a nonnegative integer, got {epoch!r}")
-    rng_state = meta.get("rng_state")
-    if rng_state is not None:
-        try:  # the state a resumed run will restore
-            np.random.default_rng().bit_generator.state = rng_state
-        except (TypeError, ValueError, KeyError, OverflowError) as err:
-            raise CorruptionError(f"{path}: rng_state is not a valid generator state: "
-                                  f"{err}") from None
-
-    # a record's name and shape are checked against the model config before
-    # its payload is read, so a damaged header can size neither a read nor a reshape
-    shapes = parameter_shapes(model_config)
-    params, adam_m, adam_v = {}, {}, {}
-    while r.remaining:
-        (nlen,) = struct.unpack("<I", r.take(4))
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(CHECKPOINT_HEADER.size)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
+        if len(head) < CHECKPOINT_HEADER.size:
+            raise CorruptionError(f"{path}: checkpoint truncated", offset=len(head))
+        _, version, blen = CHECKPOINT_HEADER.unpack(head)
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        if CHECKPOINT_HEADER.size + blen > size:  # before a read the file sizes allocates
+            raise CorruptionError(f"{path}: checkpoint truncated", offset=size)
         try:
-            name = r.take(nlen).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CorruptionError(f"{path}: tensor name is not UTF-8", offset=r.pos - nlen) from None
-        (rank,) = struct.unpack("<I", r.take(4))
-        shape = struct.unpack(f"<{rank}Q", r.take(8 * rank))
-        group, key = params, name
-        if name.startswith("adam.m:"):
-            group, key = adam_m, name[7:]
-        elif name.startswith("adam.v:"):
-            group, key = adam_v, name[7:]
-        if key not in shapes:
-            raise CorruptionError(f"{path}: tensor {name!r} is not a parameter of the model "
-                                  "config or its optimizer moment")
-        if shape != shapes[key]:
-            raise CorruptionError(f"{path}: tensor {name!r} has shape {shape}, "
-                                  f"the model config gives {shapes[key]}")
-        if key in group:
-            raise CorruptionError(f"{path}: tensor {name!r} repeated")
-        count = math.prod(shape)  # exact: np.prod can wrap to 0 and skip the size check
-        group[key] = np.frombuffer(r.take(count * 4), dtype="<f4").reshape(shape).copy()
-    missing = set(shapes) - set(params)
-    if missing:
-        raise CorruptionError(f"{path}: missing parameter tensors {sorted(missing)}")
-    # adam_step gives every parameter both moments on its first step, so a
-    # resumable state has all of them, or none before any step (or no state)
-    expected = set(shapes) if adam_t else set()
-    for prefix, moments in (("adam.m", adam_m), ("adam.v", adam_v)):
-        if set(moments) != expected:
-            wrong = sorted(set(moments) ^ expected)
-            raise CorruptionError(f"{path}: {prefix} moments {'missing' if adam_t else 'unexpected'} "
-                                  f"for {wrong} (adam_t={adam_t})")
+            meta = json.loads(f.read(blen).decode("utf-8"))
+        except ValueError as err:  # bad UTF-8 or bad JSON
+            raise CorruptionError(f"{path}: unreadable checkpoint metadata: {err}") from None
+        model_config = _model_config_from_meta(path, meta)
+        adam_t = meta.get("adam_t")
+        if adam_t is not None and (type(adam_t) is not int or adam_t < 0):
+            raise CorruptionError(f"{path}: adam_t must be a nonnegative integer, got {adam_t!r}")
+        epoch = meta.get("epoch")
+        if type(epoch) is not int or epoch < 0:
+            raise CorruptionError(f"{path}: epoch must be a nonnegative integer, got {epoch!r}")
+        rng_state = meta.get("rng_state")
+        if rng_state is not None:
+            try:  # the state a resumed run will restore
+                np.random.default_rng().bit_generator.state = rng_state
+            except (TypeError, ValueError, KeyError, OverflowError) as err:
+                raise CorruptionError(f"{path}: rng_state is not a valid generator state: "
+                                      f"{err}") from None
 
-    adam = None
-    if adam_t is not None:
-        adam = AdamState(m=adam_m, v=adam_v, t=adam_t)
+        # each record must be the layout's next one, header byte for byte: the
+        # metadata, not the record, sizes each payload read
+        arrays = []
+        for name, shape in checkpoint_layout(model_config, adam_t).items():
+            header = _record_header(name, shape)
+            offset = f.tell()
+            if f.read(len(header)) != header:
+                raise CorruptionError(f"{path}: expected tensor {name!r} of shape {shape} "
+                                      f"at byte {offset} (adam_t={adam_t})", offset=offset)
+            count = math.prod(shape)
+            if size - f.tell() < 4 * count:
+                raise CorruptionError(f"{path}: tensor {name!r} truncated", offset=size)
+            arrays.append(np.fromfile(f, dtype="<f4", count=count).reshape(shape))
+        end = f.tell()
+        if end != size:
+            raise CorruptionError(f"{path}: {size - end} trailing bytes after tensor {name!r}, "
+                                  f"the last of the layout (adam_t={adam_t})", offset=end)
+
+    names = list(parameter_shapes(model_config))
+    n = len(names)
+    adam = None if adam_t is None else AdamState(
+        m=dict(zip(names, arrays[n:2 * n])), v=dict(zip(names, arrays[2 * n:])), t=adam_t)
     return Checkpoint(
         model_config=model_config,
-        params=params,
+        params=dict(zip(names, arrays)),
         adam=adam,
         rng_state=rng_state,
         epoch=epoch,

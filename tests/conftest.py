@@ -2,7 +2,10 @@ import json
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
+
+from vitals.train import load_checkpoint
 
 
 def _edit_checkpoint_meta(path, edit):
@@ -17,6 +20,36 @@ def _edit_checkpoint_meta(path, edit):
 @pytest.fixture
 def edit_checkpoint_meta():
     return _edit_checkpoint_meta
+
+
+def _rewrite_checkpoint_records(path, edit):
+    """Rewrite a valid checkpoint's tensor records byte by byte.
+
+    edit(records) changes in place the list of (name, array) pairs the file
+    holds, in file order; each pair left is then written in the checkpoint
+    record format, in that order and with the array's own shape, so the
+    file can hold records that save_checkpoint refuses to write.
+    """
+    ck = load_checkpoint(path)
+    records = list(ck.params.items())
+    if ck.adam is not None:
+        records += [(f"adam.m:{k}", a) for k, a in ck.adam.m.items()]
+        records += [(f"adam.v:{k}", a) for k, a in ck.adam.v.items()]
+    edit(records)
+    blob = path.read_bytes()
+    (blen,) = struct.unpack("<I", blob[8:12])
+    out = [blob[:12 + blen]]
+    for name, arr in records:
+        encoded = name.encode("utf-8")
+        arr = np.asarray(arr, dtype="<f4")
+        out.append(struct.pack(f"<I{len(encoded)}sI{arr.ndim}Q", len(encoded), encoded,
+                               arr.ndim, *arr.shape) + arr.tobytes())
+    path.write_bytes(b"".join(out))
+
+
+@pytest.fixture
+def rewrite_checkpoint_records():
+    return _rewrite_checkpoint_records
 
 
 def _traced_peak(fn):

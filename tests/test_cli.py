@@ -7,7 +7,6 @@ from vitals.cli import main, read_spec_file, write_spec_file
 from vitals.data import (SyntheticSpec, load_features, load_manifest,
                          parse_annotation_segments)
 from vitals.errors import ConfigError
-from vitals.train import load_checkpoint, save_checkpoint
 
 
 def run(*argv):
@@ -164,18 +163,18 @@ class TestExitCodes:
         assert "data does not match checkpoint phase count" in capsys.readouterr().err
         assert not report.exists()
 
-    def test_incomplete_optimizer_state(self, tmp_path, dataset, capsys):
+    def test_incomplete_optimizer_state(self, tmp_path, dataset, capsys,
+                                        rewrite_checkpoint_records):
         ckpt = tmp_path / "model.vtck"
         assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
                    str(write_config(tmp_path / "t.conf", epochs=1)),
                    "--out-checkpoint", str(ckpt)) == 0
-        loaded = load_checkpoint(ckpt)
-        del loaded.adam.m["fusion.weight"]
-        save_checkpoint(ckpt, loaded)
+        rewrite_checkpoint_records(ckpt, lambda records: records.pop(
+            [name for name, _ in records].index("adam.m:fusion.weight")))
         code = run("predict", "--checkpoint", str(ckpt),
                    "--features", str(dataset / "video000.vtaf"), "--out", str(tmp_path / "p.txt"))
         assert code == 1
-        assert "adam.m moments missing" in capsys.readouterr().err
+        assert "expected tensor 'adam.m:fusion.weight'" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -194,8 +193,18 @@ class TestSynth:
         seq = load_features(entries[0].feature_path)
         assert seq.d == 8
 
-    def test_synth_without_required_args(self, tmp_path):
+    def test_synth_without_required_args(self, tmp_path, capsys):
         assert run("synth", "--videos", "3") == 1
+        spec = tmp_path / "spec.conf"
+        write_spec_file(spec, SyntheticSpec(durations=[(0.05, 0.0)] * 3, feature_dim=4))
+        for flag, value in [("--train-fraction", "inf"), ("--train-fraction", "nan"),
+                            ("--train-fraction", "-1"), ("--train-fraction", "2"),
+                            ("--seed", "-1")]:
+            capsys.readouterr()
+            assert run("synth", "--spec", str(spec), "--videos", "3", "--out-dir",
+                       str(tmp_path / "out"), flag, value) == 1
+            assert capsys.readouterr().err.startswith(f"error: {flag} must be")
+            assert not (tmp_path / "out").exists()
 
     def test_spec_file_roundtrip(self, tmp_path):
         spec = SyntheticSpec(durations=[(1.5, 0.2), (2.0, 0.0)], feature_dim=4,

@@ -4,6 +4,7 @@ from vitals import gradcheck as gc
 from vitals import model as mdl
 from vitals import tensor as T
 from vitals.cli import main
+from vitals.errors import ParameterError
 
 
 def test_negative_control_breaks_relu_checks():
@@ -36,6 +37,15 @@ def test_cli_corrupt_smoothing_loss_fails(capsys):
 def test_unknown_corrupt_target():
     with pytest.raises(ValueError):
         gc.run_suite(seeds=1, corrupt="made_up_op")
+
+
+@pytest.mark.parametrize("seeds", [0, -1])
+def test_no_seeds_rejected(capsys, seeds):
+    # with no seed every check would report an error of 0 and pass
+    with pytest.raises(ParameterError, match="seeds must be >= 1"):
+        gc.run_suite(seeds=seeds)
+    assert main(["gradcheck", "--seeds", str(seeds), "--corrupt", "relu"]) == 1
+    assert capsys.readouterr().err.startswith("error: seeds must be >= 1")
 
 
 def test_single_seed_suite_passes():

@@ -251,50 +251,97 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="decoder_query"):
             load_checkpoint(path)
 
-    def resave(self, tmp_path, edit):
-        """Save the round-trip checkpoint again after edit(ckpt) changed it."""
-        orig, _, path = self.roundtrip(tmp_path)
-        edit(orig)
-        save_checkpoint(path, orig)
+    @staticmethod
+    def at(records, name):
+        """The index of the record called `name`."""
+        return [n for n, _ in records].index(name)
+
+    def rewritten(self, tmp_path, rewrite_checkpoint_records, edit):
+        """The round-trip checkpoint file after edit(records) changed its records."""
+        _, _, path = self.roundtrip(tmp_path)
+        rewrite_checkpoint_records(path, edit)
         return path
 
-    def test_missing_moment_rejected(self, tmp_path):
-        path = self.resave(tmp_path, lambda ck: ck.adam.v.pop("fusion.bias"))
-        with pytest.raises(CorruptionError, match=r"adam\.v moments missing.*fusion\.bias"):
+    def test_missing_moment_rejected(self, tmp_path, rewrite_checkpoint_records):
+        path = self.rewritten(tmp_path, rewrite_checkpoint_records,
+                              lambda r: r.pop(self.at(r, "adam.v:fusion.bias")))
+        with pytest.raises(CorruptionError, match=r"expected tensor 'adam\.v:fusion\.bias'"):
             load_checkpoint(path)
 
-    def test_moments_without_optimizer_steps_rejected(self, tmp_path):
-        def edit(ck):
-            ck.adam.t = 0
-        with pytest.raises(CorruptionError, match="unexpected"):
-            load_checkpoint(self.resave(tmp_path, edit))
+    def test_moments_without_optimizer_steps_rejected(self, tmp_path, edit_checkpoint_meta):
+        # the moments of a state that never stepped, or of no state at all
+        for adam_t in (0, None):
+            _, _, path = self.roundtrip(tmp_path)
+            edit_checkpoint_meta(path, lambda m: {**m, "adam_t": adam_t})
+            with pytest.raises(CorruptionError, match=r"trailing bytes after tensor "
+                               rf"'decoder1\.classifier\.bias'.*adam_t={adam_t}"):
+                load_checkpoint(path)
 
     def test_state_before_any_step_loads(self, tmp_path):
-        def edit(ck):
-            ck.adam = AdamState()
-        back = load_checkpoint(self.resave(tmp_path, edit))
+        orig, _, path = self.roundtrip(tmp_path)
+        orig.adam = AdamState()
+        save_checkpoint(path, orig)
+        back = load_checkpoint(path)
         assert back.adam.t == 0 and back.adam.m == {} and back.adam.v == {}
 
-    @staticmethod
-    def group(ck, name):
-        """The dict of `ck` that holds the tensor saved as `name`, and its key there."""
-        return (ck.adam.m, name[7:]) if name.startswith("adam.m:") else (ck.params, name)
-
     @pytest.mark.parametrize("name", ["bogus", "adam.m:bogus"])
-    def test_unknown_tensor_rejected(self, tmp_path, name):
-        def edit(ck):
-            group, key = self.group(ck, name)
-            group[key] = np.zeros(3, np.float32)
-        with pytest.raises(CorruptionError, match=f"'{name}'"):
-            load_checkpoint(self.resave(tmp_path, edit))
+    def test_unknown_tensor_rejected(self, tmp_path, rewrite_checkpoint_records, name):
+        # inserted after fusion.bias, or after its first moment
+        after = name.replace("bogus", "fusion.bias")
+        displaced = []
+
+        def edit(records):
+            i = self.at(records, after) + 1
+            displaced.append(records[i][0])
+            records.insert(i, (name, np.zeros(3, np.float32)))
+        path = self.rewritten(tmp_path, rewrite_checkpoint_records, edit)
+        with pytest.raises(CorruptionError, match=f"expected tensor '{displaced[0]}'"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("name", ["encoder.block1.attn.wq", "adam.m:fusion.weight"])
-    def test_shape_mismatch_rejected(self, tmp_path, name):
-        def edit(ck):
-            group, key = self.group(ck, name)
-            group[key] = group[key][:-1]
-        with pytest.raises(CorruptionError, match="shape"):
-            load_checkpoint(self.resave(tmp_path, edit))
+    def test_shape_mismatch_rejected(self, tmp_path, rewrite_checkpoint_records, name):
+        def edit(records):
+            i = self.at(records, name)
+            records[i] = (name, records[i][1][:-1])
+        path = self.rewritten(tmp_path, rewrite_checkpoint_records, edit)
+        with pytest.raises(CorruptionError, match=f"expected tensor '{name}' of shape"):
+            load_checkpoint(path)
+
+    def test_records_out_of_order_rejected(self, tmp_path, rewrite_checkpoint_records):
+        # same shape, so only the record names tell them apart
+        def edit(records):
+            i, j = self.at(records, "encoder.block1.attn.wq"), self.at(records, "encoder.block1.attn.wk")
+            records[i], records[j] = records[j], records[i]
+        path = self.rewritten(tmp_path, rewrite_checkpoint_records, edit)
+        with pytest.raises(CorruptionError, match="expected tensor 'encoder.block1.attn.wq'"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, _, path = self.roundtrip(tmp_path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(CorruptionError, match="4 trailing bytes") as err:
+            load_checkpoint(path)
+        assert err.value.offset == size
+
+    @pytest.mark.parametrize("edit", [
+        lambda ck: ck.adam.v.pop("fusion.bias"),
+        lambda ck: setattr(ck.adam, "t", 0),
+        lambda ck: ck.params.update(bogus=np.zeros(3, np.float32)),
+        lambda ck: ck.adam.m.update(bogus=np.zeros(3, np.float32)),
+        lambda ck: ck.params.update({"encoder.block1.attn.wq": np.zeros((8, 7), np.float32)}),
+        lambda ck: ck.adam.m.update({"fusion.weight": np.zeros((15, 3), np.float32)}),
+        lambda ck: ck.params.update({"fusion.bias": None}),
+    ], ids=["missing_moment", "moments_without_steps", "unknown_param", "unknown_moment",
+            "param_shape", "moment_shape", "none"])
+    def test_save_rejects_tensors_off_the_layout(self, tmp_path, edit):
+        orig, _, path = self.roundtrip(tmp_path)
+        before = path.read_bytes()
+        edit(orig)
+        with pytest.raises(ParameterError, match="checkpoint tensors"):
+            save_checkpoint(path, orig)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
     @pytest.mark.parametrize("adam_t", ["7", -1, 1.5, True])
     def test_bad_adam_t_rejected(self, tmp_path, edit_checkpoint_meta, adam_t):
@@ -329,13 +376,19 @@ class TestCheckpoint:
         edit_checkpoint_meta(path, lambda m: {**m, "rng_state": None})
         assert load_checkpoint(path).rng_state is None
 
-    def test_failed_write_keeps_old_file(self, tmp_path):
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         orig, _, path = self.roundtrip(tmp_path)
         before = path.read_bytes()
-        bad = Checkpoint(model_config=orig.model_config,
-                         params={**orig.params, "broken": None}, adam=orig.adam)
-        with pytest.raises(AttributeError):  # fails after the first tensors are written
-            save_checkpoint(path, bad)
+        written = []
+
+        def failing_fsync(fd):  # every record is in the temp file by now
+            written.append(os.fstat(fd).st_size)
+            raise OSError("disk gone")
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        orig.epoch += 1
+        with pytest.raises(OSError, match="disk gone"):
+            save_checkpoint(path, orig)
+        assert written == [len(before)]
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
