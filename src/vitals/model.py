@@ -36,10 +36,12 @@ class ModelConfig:
     smooth_clamp: float = 4.0
 
     def __post_init__(self):
-        if self.num_layers < 1 or self.num_decoders < 0:
-            raise ParameterError("num_layers >= 1 and num_decoders >= 0 required")
-        if self.num_phases < 2 or self.hidden_dim < 1:
-            raise ParameterError("num_phases >= 2 and hidden_dim >= 1 required")
+        # u32 sizes keep every parameter dim (L*h the largest) within a record's u64
+        for name, low in (("num_phases", 2), ("input_dim", 1), ("hidden_dim", 1),
+                          ("num_layers", 1), ("num_decoders", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or not low <= value < 2**32:
+                raise ParameterError(f"{name} must be an integer in [{low}, 2**32), got {value!r}")
         if not 0 <= self.dropout_rate < 1:
             raise ParameterError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not (math.isfinite(self.smooth_weight) and self.smooth_weight >= 0):

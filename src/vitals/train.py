@@ -30,8 +30,7 @@ from .tensor import Tape, Tensor, backward
 
 CHECKPOINT_MAGIC = b"VTCK"
 CHECKPOINT_VERSION = 1
-# magic, version, metadata length: the 12 bytes before the JSON metadata
-CHECKPOINT_HEADER = struct.Struct("<4sII")
+CHECKPOINT_HEADER = struct.Struct("<4sII")  # magic, version, JSON metadata length
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -172,9 +171,8 @@ def save_checkpoint(path, ckpt: Checkpoint):
         tensors.update({f"adam.m:{k}": a for k, a in ckpt.adam.m.items()})
         tensors.update({f"adam.v:{k}": a for k, a in ckpt.adam.v.items()})
     layout = checkpoint_layout(ckpt.model_config, adam_t)
-    given = {name: np.shape(a) for name, a in tensors.items()}
-    wrong = sorted(name for name in given.keys() | layout.keys()
-                   if given.get(name) != layout.get(name))
+    wrong = sorted(name for name in tensors.keys() | layout.keys()
+                   if name not in tensors or np.shape(tensors[name]) != layout.get(name))
     if wrong:
         raise ParameterError(f"checkpoint tensors {wrong} are missing, unexpected or misshaped "
                              f"for the model config (adam_t={adam_t})")
@@ -220,7 +218,7 @@ def _model_config_from_meta(path, meta) -> ModelConfig:
         raise ConfigError(f"{path}: decoder_query {query!r} is no longer supported")
     try:
         return ModelConfig.from_dict(config)
-    except TypeError as err:  # unknown or missing keys, values of the wrong type
+    except (TypeError, ParameterError) as err:  # unknown or missing keys, bad values
         raise ConfigError(f"{path}: bad model_config: {err}") from None
 
 
@@ -262,13 +260,19 @@ def load_checkpoint(path) -> Checkpoint:
         for name, shape in checkpoint_layout(model_config, adam_t).items():
             header = _record_header(name, shape)
             offset = f.tell()
-            if f.read(len(header)) != header:
+            got = f.read(len(header))
+            if got != header:
                 raise CorruptionError(f"{path}: expected tensor {name!r} of shape {shape} "
-                                      f"at byte {offset} (adam_t={adam_t})", offset=offset)
+                                      f"(adam_t={adam_t}), got {got!r}",
+                                      offset=offset)
             count = math.prod(shape)
             if size - f.tell() < 4 * count:
                 raise CorruptionError(f"{path}: tensor {name!r} truncated", offset=size)
-            arrays.append(np.fromfile(f, dtype="<f4", count=count).reshape(shape))
+            data = np.fromfile(f, dtype="<f4", count=count)
+            if data.size != count:  # the file shrank after its size was checked
+                raise CorruptionError(f"{path}: tensor {name!r} truncated",
+                                      offset=offset + len(header) + 4 * data.size)
+            arrays.append(data.reshape(shape))
         end = f.tell()
         if end != size:
             raise CorruptionError(f"{path}: {size - end} trailing bytes after tensor {name!r}, "
@@ -278,13 +282,8 @@ def load_checkpoint(path) -> Checkpoint:
     n = len(names)
     adam = None if adam_t is None else AdamState(
         m=dict(zip(names, arrays[n:2 * n])), v=dict(zip(names, arrays[2 * n:])), t=adam_t)
-    return Checkpoint(
-        model_config=model_config,
-        params=dict(zip(names, arrays)),
-        adam=adam,
-        rng_state=rng_state,
-        epoch=epoch,
-    )
+    return Checkpoint(model_config=model_config, params=dict(zip(names, arrays)), adam=adam,
+                      rng_state=rng_state, epoch=epoch)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,20 @@
 import json
-import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from vitals.train import load_checkpoint
+from vitals.train import CHECKPOINT_HEADER, _record_header, load_checkpoint
 
 
 def _edit_checkpoint_meta(path, edit):
     """Rewrite a checkpoint's JSON metadata blob with edit(meta)."""
     blob = path.read_bytes()
-    (blen,) = struct.unpack("<I", blob[8:12])
-    meta = edit(json.loads(blob[12:12 + blen]))
+    magic, version, blen = CHECKPOINT_HEADER.unpack_from(blob)
+    end = CHECKPOINT_HEADER.size + blen
+    meta = edit(json.loads(blob[CHECKPOINT_HEADER.size:end]))
     new = json.dumps(meta).encode("utf-8")
-    path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + blen:])
+    path.write_bytes(CHECKPOINT_HEADER.pack(magic, version, len(new)) + new + blob[end:])
 
 
 @pytest.fixture
@@ -37,13 +37,11 @@ def _rewrite_checkpoint_records(path, edit):
         records += [(f"adam.v:{k}", a) for k, a in ck.adam.v.items()]
     edit(records)
     blob = path.read_bytes()
-    (blen,) = struct.unpack("<I", blob[8:12])
-    out = [blob[:12 + blen]]
+    _, _, blen = CHECKPOINT_HEADER.unpack_from(blob)
+    out = [blob[:CHECKPOINT_HEADER.size + blen]]
     for name, arr in records:
-        encoded = name.encode("utf-8")
         arr = np.asarray(arr, dtype="<f4")
-        out.append(struct.pack(f"<I{len(encoded)}sI{arr.ndim}Q", len(encoded), encoded,
-                               arr.ndim, *arr.shape) + arr.tobytes())
+        out.append(_record_header(name, arr.shape) + arr.tobytes())
     path.write_bytes(b"".join(out))
 
 

@@ -65,7 +65,11 @@ class TestExitCodes:
         lambda m: {k: v for k, v in m.items() if k != "param_names"},
         lambda m: {**m, "model_config": {**m["model_config"], "depth": 3}},
         lambda m: list(m),
-    ], ids=["no_param_names", "unknown_config_key", "list_metadata"])
+        lambda m: {**m, "model_config": {**m["model_config"], "input_dim": -4}},
+        lambda m: {**m, "model_config": {**m["model_config"], "input_dim": 2**64}},
+        lambda m: {**m, "model_config": {**m["model_config"], "hidden_dim": 2.5}},
+    ], ids=["no_param_names", "unknown_config_key", "list_metadata", "negative_input_dim",
+            "huge_input_dim", "fractional_hidden_dim"])
     def test_malformed_checkpoint_metadata(self, tmp_path, dataset, capsys, edit,
                                            edit_checkpoint_meta):
         ckpt = tmp_path / "model.vtck"

@@ -42,6 +42,15 @@ class TestConfig:
         with pytest.raises(ParameterError, match=field):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("input_dim", 0), ("input_dim", -4), ("input_dim", 4.5), ("input_dim", 2**64),
+        ("hidden_dim", 2.5), ("hidden_dim", 2**32), ("num_phases", True),
+        ("num_layers", "3"), ("num_decoders", -1),
+    ])
+    def test_sizes_must_be_u32_integers(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            small_config(**{field: value})
+
 
 class TestParams:
     def test_names_and_shapes_deterministic(self):

@@ -295,8 +295,9 @@ class TestCheckpoint:
             displaced.append(records[i][0])
             records.insert(i, (name, np.zeros(3, np.float32)))
         path = self.rewritten(tmp_path, rewrite_checkpoint_records, edit)
-        with pytest.raises(CorruptionError, match=f"expected tensor '{displaced[0]}'"):
+        with pytest.raises(CorruptionError, match=f"expected tensor '{displaced[0]}'") as err:
             load_checkpoint(path)
+        assert f"{name}\\x" in str(err.value)  # the bytes read name the record found there
 
     @pytest.mark.parametrize("name", ["encoder.block1.attn.wq", "adam.m:fusion.weight"])
     def test_shape_mismatch_rejected(self, tmp_path, rewrite_checkpoint_records, name):
@@ -315,6 +316,26 @@ class TestCheckpoint:
         path = self.rewritten(tmp_path, rewrite_checkpoint_records, edit)
         with pytest.raises(CorruptionError, match="expected tensor 'encoder.block1.attn.wq'"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("input_dim", -1), ("input_dim", 4.5), ("input_dim", 2**64), ("hidden_dim", 2.5),
+    ])
+    def test_bad_model_size_rejected(self, tmp_path, edit_checkpoint_meta, field, value):
+        _, _, path = self.roundtrip(tmp_path)
+        edit_checkpoint_meta(path, lambda m: {**m, "model_config": {**m["model_config"],
+                                                                    field: value}})
+        with pytest.raises(ConfigError, match=f"bad model_config: {field}"):
+            load_checkpoint(path)
+
+    def test_file_shrinking_after_size_check(self, tmp_path, monkeypatch):
+        _, _, path = self.roundtrip(tmp_path)
+        full = path.stat()
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(os, "fstat", lambda fd: full)
+        with pytest.raises(CorruptionError, match=r"tensor 'adam\.v:decoder1\.classifier\.bias' "
+                           "truncated") as err:
+            load_checkpoint(path)
+        assert err.value.offset == full.st_size - 8
 
     def test_trailing_bytes_rejected(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path)
