@@ -103,6 +103,14 @@ def parameter_shapes(config: ModelConfig):
     return shapes
 
 
+def num_parameter_tensors(config: ModelConfig):
+    """len(parameter_shapes(config)) without building it: every stage has 6
+    tensors per block plus 3 of its own (the encoder's input projection and
+    fusion weight and bias, each decoder's embedding and classifier weight
+    and bias)."""
+    return (config.num_decoders + 1) * (6 * config.num_layers + 3)
+
+
 def init_params(config: ModelConfig, seed=0):
     """Seeded init: weights uniform in +-sqrt(1/fan_in), biases zero."""
     rng = np.random.default_rng(seed)

@@ -56,8 +56,10 @@ class Tensor:
 
     def accumulate_grad(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # one pass in the data's dtype, bit-equal to zeros_like(data) + g
+            self.grad = np.add(g, 0.0, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -73,8 +75,11 @@ class GradSlot:
 
     def accumulate_grad(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(g)
-        self.grad += g
+            # a private copy in one pass, bit-equal to zeros_like(g) + g:
+            # x + 0.0 is x, and -0.0 + 0.0 is +0.0
+            self.grad = g + 0.0
+        else:
+            self.grad += g
 
 
 class TapeNode:
@@ -220,7 +225,7 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     gate = x.data > 0
-    out = Tensor(np.where(gate, x.data, 0.0))
+    out = Tensor(np.maximum(x.data, 0))  # +0.0 for -0.0; NaN stays NaN
     return record("relu", [x], out, lambda dout: (dout * gate,))
 
 

@@ -23,9 +23,9 @@ from . import metrics as M
 from .data import (DOWNSAMPLE_LIMIT, class_weights, downsample_indices, load_features,
                    load_manifest, parse_annotations, read_key_values)
 from .errors import (ConfigError, CorruptionError, DataError, FormatError, ParameterError,
-                     TrainingError)
+                     ShapeError, TrainingError)
 from .model import (ModelConfig, StagePredictions, init_params, model_forward,
-                    parameter_shapes, total_loss)
+                    num_parameter_tensors, parameter_shapes, total_loss)
 from .tensor import Tape, Tensor, backward
 
 CHECKPOINT_MAGIC = b"VTCK"
@@ -107,24 +107,91 @@ class AdamState:
     m: dict = field(default_factory=dict)  # name -> first moment
     v: dict = field(default_factory=dict)  # name -> second moment
     t: int = 0
+    # set by adam_step: the flat (params, m, v) buffers, and per parameter its
+    # name and its three views into them
+    flat: tuple = field(default=None, init=False, repr=False, compare=False)
+    views: list = field(default=None, init=False, repr=False, compare=False)
+
+
+def _is_bound(params, state: AdamState):
+    """Whether every parameter's data and both its moments are still the views
+    `_bind` made, in the same order."""
+    views = state.views
+    return views is not None and len(views) == len(params) and all(
+        name == bound and p.data is pv and state.m.get(name) is mv and state.v.get(name) is vv
+        for (name, p), (bound, pv, mv, vv) in zip(params.items(), views))
+
+
+def _bind(params, state: AdamState):
+    """Copy every parameter and its moments (zeros where there are none yet)
+    into three flat buffers of the parameters' dtype, and make each p.data
+    and each m/v entry a view into them."""
+    dtypes = {p.data.dtype for p in params.values()}
+    if len(dtypes) != 1:
+        raise ParameterError(f"adam_step needs parameters of one dtype, "
+                             f"got {sorted(map(str, dtypes))}")
+    dtype = dtypes.pop()
+    total = sum(p.data.size for p in params.values())
+    flat = tuple(np.empty(total, dtype) for _ in range(3))
+    views, start = [], 0
+    for name, p in params.items():
+        shape, end = p.data.shape, start + p.data.size
+        pv, mv, vv = (buf[start:end].reshape(shape) for buf in flat)
+        pv[...] = p.data
+        mv[...] = state.m.get(name, 0.0)
+        vv[...] = state.v.get(name, 0.0)
+        p.data, state.m[name], state.v[name] = pv, mv, vv
+        views.append((name, pv, mv, vv))
+        start = end
+    state.flat, state.views = flat, views
 
 
 def adam_step(params, state: AdamState, learning_rate, weight_decay=0.0):
-    """One Adam update with bias correction; coupled L2 weight decay."""
+    """One Adam update with bias correction; coupled L2 weight decay.
+
+    The first step moves the parameters and moments into flat buffers (see
+    `_bind`), so every p.data is a view afterwards, and each step is a few
+    whole-buffer ops whose elementwise arithmetic is that of a per-parameter
+    update. A None gradient reads as zeros. A non-finite gradient raises
+    TrainingError before anything, `state.t` included, changes.
+    """
+    if not params:
+        raise ParameterError("adam_step needs at least one parameter")
+    g = np.concatenate([t.grad.reshape(-1) if t.grad is not None
+                        else np.zeros(t.data.size, t.data.dtype) for t in params.values()])
+    if not np.isfinite(g).all():
+        parts = np.split(g, np.cumsum([t.data.size for t in params.values()])[:-1])
+        bad = next(name for name, part in zip(params, parts) if not np.isfinite(part).all())
+        raise TrainingError(f"non-finite gradient in parameter {bad!r}")
+    if not _is_bound(params, state):
+        _bind(params, state)
+    p, m, v = state.flat
+    if g.shape != p.shape:
+        raise ShapeError(f"the gradients hold {g.size} values, the parameters {p.size}")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient in parameter {name!r}")
-        if weight_decay:
-            g = g + weight_decay * p.data
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
-        m += (1.0 - ADAM_BETA1) * (g - m)
-        v += (1.0 - ADAM_BETA2) * (g * g - v)
-        p.data -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    # Python floats keep every op in the parameters' dtype; each in-place op
+    # below rounds exactly as the expression in its comment
+    learning_rate, weight_decay = float(learning_rate), float(weight_decay)
+    s = np.empty_like(p)
+    if weight_decay:
+        np.multiply(p, weight_decay, out=s)
+        g += s                           # g = g + wd * p
+    np.subtract(g, m, out=s)
+    s *= 1.0 - ADAM_BETA1
+    m += s                               # m += (1 - b1) * (g - m)
+    np.multiply(g, g, out=s)
+    s -= v
+    s *= 1.0 - ADAM_BETA2
+    v += s                               # v += (1 - b2) * (g * g - v)
+    np.divide(v, bc2, out=s)
+    np.sqrt(s, out=s)
+    s += ADAM_EPS                        # s = sqrt(v / bc2) + eps
+    np.divide(m, bc1, out=g)
+    g *= learning_rate
+    g /= s
+    p -= g                               # p -= lr * (m / bc1) / s
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +225,11 @@ def _record_header(name, shape):
     rank, then the shape as u64s."""
     encoded = name.encode("utf-8")
     return struct.pack(f"<I{len(encoded)}sI{len(shape)}Q", len(encoded), encoded, len(shape), *shape)
+
+
+# no record is shorter: a name of at least one byte, a shape of rank at least
+# one, and at least one float32
+MIN_RECORD_BYTES = len(_record_header("x", (1,))) + 4
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
@@ -254,6 +326,19 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CorruptionError(f"{path}: rng_state is not a valid generator state: "
                                       f"{err}") from None
 
+        # the file must be able to hold the layout before the layout is built,
+        # so a small file cannot make the load cost what its metadata promises
+        records = num_parameter_tensors(model_config) * (3 if adam_t else 1)
+        left = size - f.tell()
+        if records * MIN_RECORD_BYTES > left:
+            raise CorruptionError(f"{path}: the model config needs {records} tensor records "
+                                  f"(adam_t={adam_t}), more than the {left} bytes after the "
+                                  f"metadata can hold", offset=size)
+        names = list(parameter_shapes(model_config))
+        if meta["param_names"] != names:
+            raise CorruptionError(f"{path}: param_names do not list the model config's "
+                                  f"{len(names)} parameters in order")
+
         # each record must be the layout's next one, header byte for byte: the
         # metadata, not the record, sizes each payload read
         arrays = []
@@ -278,7 +363,6 @@ def load_checkpoint(path) -> Checkpoint:
             raise CorruptionError(f"{path}: {size - end} trailing bytes after tensor {name!r}, "
                                   f"the last of the layout (adam_t={adam_t})", offset=end)
 
-    names = list(parameter_shapes(model_config))
     n = len(names)
     adam = None if adam_t is None else AdamState(
         m=dict(zip(names, arrays[n:2 * n])), v=dict(zip(names, arrays[2 * n:])), t=adam_t)

@@ -86,7 +86,8 @@ class TestExitCodes:
         lambda m: {**m, "epoch": "x"},
         lambda m: {**m, "epoch": -3},
         lambda m: {**m, "rng_state": {"bit_generator": "PCG64", "state": 5}},
-    ], ids=["text_epoch", "negative_epoch", "bad_rng_state"])
+        lambda m: {**m, "param_names": ["x"]},
+    ], ids=["text_epoch", "negative_epoch", "bad_rng_state", "wrong_param_names"])
     def test_bad_checkpoint_run_state(self, tmp_path, dataset, capsys, edit,
                                       edit_checkpoint_meta):
         ckpt = tmp_path / "model.vtck"

@@ -4,8 +4,8 @@ import pytest
 from vitals.errors import DataError, ParameterError, ShapeError
 from vitals.model import (ModelConfig, StagePredictions, cross_entropy_loss,
                           decoder_stage_forward, encoder_forward, init_params,
-                          cross_attention, model_forward, parameter_shapes, smoothing_loss,
-                          total_loss)
+                          cross_attention, model_forward, num_parameter_tensors,
+                          parameter_shapes, smoothing_loss, total_loss)
 from vitals.tensor import Tape, Tensor, backward
 
 
@@ -76,6 +76,11 @@ class TestParams:
         expected += [(f"decoder1.block{i}.{p}", s) for i in (1, 2) for p, s in block]
         expected += [("decoder1.classifier.weight", (4, 3)), ("decoder1.classifier.bias", (3,))]
         assert list(parameter_shapes(c).items()) == expected
+
+    @pytest.mark.parametrize("layers,decoders", [(1, 0), (2, 1), (4, 2), (10, 3)])
+    def test_tensor_count_without_the_layout(self, layers, decoders):
+        c = small_config(num_layers=layers, num_decoders=decoders)
+        assert num_parameter_tensors(c) == len(parameter_shapes(c))
 
     def test_biases_zero_weights_bounded(self):
         c = small_config()

@@ -218,6 +218,23 @@ class TestRelu:
         np.testing.assert_array_equal(x.grad, [1.0])
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_where_reference_bit_for_bit(self, dtype):
+        # odd sizes reach both numpy's vector loop and its scalar tail
+        x = np.random.default_rng(6).standard_normal((37, 19)).astype(dtype)
+        x.flat[::5] = 0.0
+        x.flat[1::5] = -0.0
+        out = T.relu(Tensor(x)).data
+        ref = np.where(x > 0, x, 0.0)
+        np.testing.assert_array_equal(out, ref, strict=True)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+        assert not np.signbit(out).any()
+
+    def test_nan_propagates(self):
+        out = T.relu(Tensor([np.nan, -1.0]))
+        assert np.isnan(out.data[0]) and out.data[1] == 0.0
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.random.default_rng(4).standard_normal((5, 5)))
@@ -288,6 +305,21 @@ class TestBackward:
             loss = T.sum_all(T.add(T.scale(x, 2.0), T.scale(x, 3.0)))
         backward(tape, loss)
         np.testing.assert_allclose(x.grad, [5.0, 5.0, 5.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slot_accumulation_matches_zero_fill(self, dtype):
+        rng = np.random.default_rng(8)
+        grads = [rng.standard_normal((4, 3)).astype(dtype) for _ in range(3)]
+        grads[0].flat[::2] = -0.0
+        first = grads[0].copy()
+        slot, ref = T.GradSlot(), np.zeros_like(grads[0])
+        for g in grads:
+            slot.accumulate_grad(g)
+            ref += g
+            np.testing.assert_array_equal(slot.grad, ref, strict=True)
+            np.testing.assert_array_equal(np.signbit(slot.grad), np.signbit(ref))
+        # the slot summed into its own array, never into the first gradient
+        np.testing.assert_array_equal(grads[0], first)
 
     def test_nonscalar_loss_rejected(self):
         x = t64([1.0, 2.0])

@@ -1,4 +1,5 @@
 import os
+import time
 
 import numpy as np
 import pytest
@@ -38,7 +39,112 @@ def small_model(**kw):
     return ModelConfig(**base)
 
 
+def ref_adam_step(params, state, learning_rate, weight_decay=0.0):
+    """Reference Adam: the per-parameter loop, one parameter at a time."""
+    state.t += 1
+    bc1 = 1.0 - 0.9 ** state.t
+    bc2 = 1.0 - 0.999 ** state.t
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if not np.isfinite(g).all():
+            raise TrainingError(f"non-finite gradient in parameter {name!r}")
+        if weight_decay:
+            g = g + weight_decay * p.data
+        m = state.m.setdefault(name, np.zeros_like(p.data))
+        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m += (1.0 - 0.9) * (g - m)
+        v += (1.0 - 0.999) * (g * g - v)
+        p.data -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+
+def assert_same_adam(params, state, ref_params, ref_state):
+    assert state.t == ref_state.t
+    for k in ref_params:
+        np.testing.assert_array_equal(params[k].data, ref_params[k].data, strict=True)
+        np.testing.assert_array_equal(state.m[k], ref_state.m[k], strict=True)
+        np.testing.assert_array_equal(state.v[k], ref_state.v[k], strict=True)
+
+
+def set_grads(rng, skip, *param_dicts):
+    """The same random gradient on every dict's parameter of each name; the
+    parameters named in `skip` get None."""
+    for name, p in param_dicts[0].items():
+        g = None if name in skip else rng.standard_normal(p.data.shape).astype(p.data.dtype)
+        for params in param_dicts:
+            params[name].grad = None if g is None else g.copy()
+
+
 class TestAdam:
+    SHAPES = {"conv": (3, 4, 4), "bias": (4,), "proj": (5, 2), "head": (7,)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("wd", [0.0, 1e-2])
+    def test_flat_update_matches_per_parameter_loop(self, dtype, wd):
+        rng = np.random.default_rng(4)
+        init = {k: rng.standard_normal(s).astype(dtype) for k, s in self.SHAPES.items()}
+        params = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        ref = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        state, ref_state = AdamState(), AdamState()
+        for step in range(20):
+            # some gradients are None: the bias on odd steps, the head at first
+            skip = ({"bias"} if step % 2 else set()) | ({"head"} if step < 3 else set())
+            set_grads(rng, skip, params, ref)
+            if step == 10:  # a parameter rebound by its owner is bound again
+                params["proj"].data = params["proj"].data.copy()
+            adam_step(params, state, 1e-2, weight_decay=wd)
+            ref_adam_step(ref, ref_state, 1e-2, weight_decay=wd)
+            assert_same_adam(params, state, ref, ref_state)
+        flat = state.flat[0]
+        assert all(np.shares_memory(p.data, flat) for p in params.values())
+
+    def test_flat_update_matches_after_resume(self, tmp_path):
+        config = small_model()
+        params = init_params(config, 3)
+        rng = np.random.default_rng(7)
+        state = AdamState()
+        for _ in range(3):
+            set_grads(rng, set(), params)
+            adam_step(params, state, 5e-4, weight_decay=1e-5)
+        path = tmp_path / "mid.vtck"
+        save_checkpoint(path, Checkpoint(model_config=config, adam=state,
+                                         params={k: p.data for k, p in params.items()}))
+        a, b = load_checkpoint(path), load_checkpoint(path)
+        params = {k: Tensor(x.copy(), requires_grad=True) for k, x in a.params.items()}
+        ref = {k: Tensor(x.copy(), requires_grad=True) for k, x in b.params.items()}
+        for _ in range(5):
+            set_grads(rng, set(), params, ref)
+            adam_step(params, a.adam, 5e-4, weight_decay=1e-5)
+            ref_adam_step(ref, b.adam, 5e-4, weight_decay=1e-5)
+            assert_same_adam(params, a.adam, ref, b.adam)
+
+    @pytest.mark.parametrize("stepped", [False, True], ids=["fresh", "stepped"])
+    def test_nonfinite_gradient_changes_nothing(self, stepped):
+        params = {"a": Tensor(np.ones(3), requires_grad=True),
+                  "b": Tensor(np.ones((2, 2)), requires_grad=True)}
+        state = AdamState()
+        if stepped:
+            params["a"].grad, params["b"].grad = np.ones(3), np.ones((2, 2))
+            adam_step(params, state, 0.1)
+        data = {k: p.data.copy() for k, p in params.items()}
+        m = {k: a.copy() for k, a in state.m.items()}
+        v = {k: a.copy() for k, a in state.v.items()}
+        t = state.t
+        params["a"].grad = np.full(3, 2.0)
+        params["b"].grad = np.array([[1.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(TrainingError, match="'b'"):
+            adam_step(params, state, 0.1)
+        assert state.t == t and state.m.keys() == m.keys() and state.v.keys() == v.keys()
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.data, data[k])
+        for k in m:
+            np.testing.assert_array_equal(state.m[k], m[k])
+            np.testing.assert_array_equal(state.v[k], v[k])
+
+    def test_mixed_dtypes_rejected(self):
+        params = {"a": Tensor(np.ones(2, np.float32), requires_grad=True),
+                  "b": Tensor(np.ones(2, np.float64), requires_grad=True)}
+        with pytest.raises(ParameterError, match="one dtype"):
+            adam_step(params, AdamState(), 0.1)
     def test_matches_scalar_reference(self):
         """100 steps against an independent textbook implementation."""
         rng = np.random.default_rng(0)
@@ -221,6 +327,27 @@ class TestCheckpoint:
         edit_checkpoint_meta(path, lambda m: {k: v for k, v in m.items() if k != "param_names"})
         with pytest.raises(CorruptionError, match="param_names"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda names: ["x"],
+        lambda names: names[:-1],
+        lambda names: names[1:] + names[:1],
+    ], ids=["other_name", "one_missing", "reordered"])
+    def test_param_names_must_match_the_config(self, tmp_path, edit_checkpoint_meta, edit):
+        _, _, path = self.roundtrip(tmp_path)
+        edit_checkpoint_meta(path, lambda m: {**m, "param_names": edit(m["param_names"])})
+        with pytest.raises(CorruptionError, match="param_names"):
+            load_checkpoint(path)
+
+    def test_layout_larger_than_the_file_fails_fast(self, tmp_path, edit_checkpoint_meta):
+        # records are built only once the bytes left could hold the layout
+        _, _, path = self.roundtrip(tmp_path, with_adam=False)
+        edit_checkpoint_meta(path, lambda m: {**m, "model_config": {**m["model_config"],
+                                                                    "num_layers": 100000}})
+        start = time.perf_counter()
+        with pytest.raises(CorruptionError, match="1200006 tensor records"):
+            load_checkpoint(path)
+        assert time.perf_counter() - start < 0.5
 
     def test_model_config_with_unknown_key(self, tmp_path, edit_checkpoint_meta):
         _, _, path = self.roundtrip(tmp_path)
