@@ -307,18 +307,20 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [5.0, 5.0, 5.0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_slot_accumulation_matches_zero_fill(self, dtype):
+    @pytest.mark.parametrize("target", ["slot", "leaf"])
+    def test_accumulation_matches_zero_fill(self, dtype, target):
         rng = np.random.default_rng(8)
         grads = [rng.standard_normal((4, 3)).astype(dtype) for _ in range(3)]
         grads[0].flat[::2] = -0.0
         first = grads[0].copy()
-        slot, ref = T.GradSlot(), np.zeros_like(grads[0])
+        acc = T.GradSlot() if target == "slot" else Tensor(np.ones((4, 3), dtype), requires_grad=True)
+        ref = np.zeros_like(grads[0])
         for g in grads:
-            slot.accumulate_grad(g)
+            acc.accumulate_grad(g)
             ref += g
-            np.testing.assert_array_equal(slot.grad, ref, strict=True)
-            np.testing.assert_array_equal(np.signbit(slot.grad), np.signbit(ref))
-        # the slot summed into its own array, never into the first gradient
+            np.testing.assert_array_equal(acc.grad, ref, strict=True)
+            np.testing.assert_array_equal(np.signbit(acc.grad), np.signbit(ref))
+        # the sum is kept in an array of its own, never in the first gradient
         np.testing.assert_array_equal(grads[0], first)
 
     def test_nonscalar_loss_rejected(self):

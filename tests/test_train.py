@@ -145,6 +145,7 @@ class TestAdam:
                   "b": Tensor(np.ones(2, np.float64), requires_grad=True)}
         with pytest.raises(ParameterError, match="one dtype"):
             adam_step(params, AdamState(), 0.1)
+
     def test_matches_scalar_reference(self):
         """100 steps against an independent textbook implementation."""
         rng = np.random.default_rng(0)
