@@ -226,7 +226,7 @@ def run_suite(seeds=10, corrupt=None):
     if seeds < 1:  # with no seed every check would report an error of 0
         raise ParameterError(f"seeds must be >= 1, got {seeds}")
     if corrupt is not None and corrupt not in OPS:
-        raise ValueError(f"cannot corrupt unknown op {corrupt!r}; choose one of {', '.join(OPS)}")
+        raise ParameterError(f"cannot corrupt unknown op {corrupt!r}; choose one of {', '.join(OPS)}")
     results = {}
     for name, build in CHECKS.items():
         worst = 0.0

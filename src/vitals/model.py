@@ -225,8 +225,7 @@ def cross_entropy_loss(logits: Tensor, labels, class_weights=None) -> Tensor:
             raise ParameterError(f"class_weights must be {K} nonnegative floats")
         w = class_weights[labels]
 
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
+    p = T.softmax(z)
     py = p[np.arange(n), labels]
     wsum = w.sum()
     loss = float((w * -np.log(np.maximum(py, 1e-8))).sum() / wsum)
@@ -270,7 +269,7 @@ def smoothing_loss(logits: Tensor, prev: Tensor, clamp: float) -> Tensor:
     p = np.exp(logp)
 
     def bwd(dout):
-        ds = np.zeros_like(z)
+        ds = np.zeros((n, K), p.dtype)  # p has z's dtype; holding z would pin the logits
         ds[1:] = np.where(np.abs(delta) < clamp, 2.0 * delta, 0.0) / denom
         dz = ds - p * ds.sum(axis=1, keepdims=True)  # through log-softmax
         return dz * float(dout), None

@@ -10,13 +10,12 @@ in execution order, which is automatically a topological order; `backward`
 replays it once in reverse, releasing each node as it is consumed. Tapes are
 single-owner: one active tape per thread, no nesting.
 
-A recorded node holds only what its backward reads. Its output is a
-:class:`GradSlot` that collects the output's gradient, not the output
-tensor; its inputs are the producers' slots, leaf tensors that require a
-gradient, or None for constants; and each op's backward closure keeps only
-the arrays that closure reads. An activation therefore stays alive during
-forward only while some backward still needs it, and after `backward` only
-leaf tensors have a `.grad`.
+A recorded node holds only what its backward reads. Its `output` is the
+gradient of the op's output (None until backward reaches it), not the output
+tensor; its inputs are the producing nodes, leaf tensors that require a
+gradient, or None for constants; and each op's closure keeps only the arrays
+its backward reads. So an activation lives during forward only while some
+backward needs it, and after `backward` only leaf tensors have a `.grad`.
 """
 
 from __future__ import annotations
@@ -55,41 +54,32 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g):
-        if self.grad is None:
-            # one pass in the data's dtype, bit-equal to zeros_like(data) + g
-            self.grad = np.add(g, 0.0, dtype=self.data.dtype)
-        else:
-            self.grad += g
+        self.grad = _accumulate(self.grad, g, self.data.dtype)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class GradSlot:
-    """Gradient of a recorded op's output, accumulated during backward."""
-
-    __slots__ = ("grad",)
-
-    def __init__(self):
-        self.grad = None
-
-    def accumulate_grad(self, g):
-        if self.grad is None:
-            # a private copy in one pass, bit-equal to zeros_like(g) + g:
-            # x + 0.0 is x, and -0.0 + 0.0 is +0.0
-            self.grad = g + 0.0
-        else:
-            self.grad += g
+def _accumulate(held, g, dtype):
+    """held + g, summed in place into held. The first gradient is copied in one
+    pass, bit-equal to zeros + g: x + 0.0 is x, and -0.0 + 0.0 is +0.0."""
+    if held is None:
+        return np.add(g, 0.0, dtype=dtype)
+    held += g
+    return held
 
 
 class TapeNode:
     __slots__ = ("op", "inputs", "output", "backward_fn")
 
-    def __init__(self, op, inputs, output, backward_fn):
+    def __init__(self, op, inputs, backward_fn):
         self.op = op
-        self.inputs = inputs            # per input: producer's GradSlot, leaf Tensor, or None
-        self.output = output            # GradSlot
+        self.inputs = inputs            # per input: producing TapeNode, leaf Tensor, or None
+        self.output = None              # gradient of the op's output, once backward reaches it
         self.backward_fn = backward_fn
+
+    def accumulate_grad(self, g):
+        self.output = _accumulate(self.output, g, g.dtype)
 
 
 class Tape:
@@ -109,11 +99,10 @@ class Tape:
         return False
 
     def grad_target(self, t):
-        """Where t's gradient accumulates on this tape: the slot of the node
-        that produced it, t itself if it is a leaf requiring a gradient, or
-        None for a constant."""
+        """Where t's gradient accumulates on this tape: its producing node, t
+        itself if it is a leaf requiring a gradient, or None for a constant."""
         if t.tape is self and t.node_id is not None:
-            return self.nodes[t.node_id].output
+            return self.nodes[t.node_id]
         return t if t.requires_grad else None
 
     def record(self, op, inputs, output, backward_fn):
@@ -122,7 +111,7 @@ class Tape:
         if targets.count(None) < len(targets):
             output.tape = self
             output.node_id = len(self.nodes)
-            self.nodes.append(TapeNode(op, targets, GradSlot(), backward_fn))
+            self.nodes.append(TapeNode(op, targets, backward_fn))
         return output
 
 
@@ -154,8 +143,8 @@ def backward(tape, loss):
     """Reverse sweep: populate `.grad` of every leaf tensor that requires it.
 
     The loss must be scalar. Gradients accumulate additively across fan-out.
-    Intermediate gradients live in the nodes' slots only: each node is popped
-    off the tape as it is consumed, which frees its slot's gradient and the
+    Intermediate gradients live in the nodes only: each node is popped off
+    the tape as it is consumed, which frees its output's gradient and the
     arrays its backward closure holds, so the finished tape pins nothing and
     no non-leaf tensor gets a `.grad`.
     """
@@ -163,11 +152,11 @@ def backward(tape, loss):
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     target = tape.grad_target(loss)
     if target is not None:
-        target.grad = np.ones_like(loss.data)
+        target.accumulate_grad(np.ones_like(loss.data))
     nodes = tape.nodes
     while nodes:
         node = nodes.pop()
-        dout = node.output.grad
+        dout = node.output
         if dout is None:
             continue
         grads = node.backward_fn(dout)
@@ -214,8 +203,9 @@ def add_row(x: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data * b.data)
-    return record("mul", [a, b], out, lambda dout: (dout * b.data, dout * a.data))
+    a_data, b_data = a.data, b.data
+    out = Tensor(a_data * b_data)
+    return record("mul", [a, b], out, lambda dout: (dout * b_data, dout * a_data))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -250,19 +240,22 @@ def concat_cols(tensors) -> Tensor:
     return record("concat_cols", list(tensors), out, bwd)
 
 
+def softmax(z):
+    """Row-wise softmax of a plain n x K array, with max-subtraction for stability."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with max-subtraction for stability."""
     if x.data.ndim != 2 or x.data.shape[0] < 1 or x.data.shape[1] < 1:
         raise ShapeError(f"softmax_rows requires a nonempty n x K matrix, got {x.data.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y)
+    y = softmax(x.data)
 
     def bwd(dout):
         return ((dout - (dout * y).sum(axis=1, keepdims=True)) * y,)
 
-    return record("softmax_rows", [x], out, bwd)
+    return record("softmax_rows", [x], Tensor(y), bwd)
 
 
 def dropout(x: Tensor, rate: float, rng=None, training: bool = True) -> Tensor:
@@ -276,10 +269,24 @@ def dropout(x: Tensor, rate: float, rng=None, training: bool = True) -> Tensor:
         raise ParameterError("training dropout draws its mask from a np.random.Generator, "
                              f"got {type(rng).__name__}")
     keep = rng.random(x.data.shape) >= rate
-    dtype = x.data.dtype
-    out = Tensor(x.data * (keep.astype(dtype) / (1.0 - rate)))
-    # keep only the bool mask; backward rebuilds the float one by the same expression
-    return record("dropout", [x], out, lambda dout: (dout * (keep.astype(dtype) / (1.0 - rate)),))
+    dtype = x.data.dtype.type
+    kept = dtype(1) / dtype(1 - rate)  # the value a float mask would hold where kept
+    out = Tensor(_masked(x.data, keep, kept))
+    return record("dropout", [x], out, lambda dout: (_masked(dout, keep, kept),))
+
+
+def _masked(a, keep, kept):
+    """a times the dropout mask, unbuilt. Zeroing first keeps a * mask's bits:
+    scaled first, a dropped finfo.max overflows to inf, and inf * 0 is NaN."""
+    out = a * keep
+    out *= kept
+    return out
+
+
+def _positive_int(name, value):
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value}")
+    return int(value)
 
 
 def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int) -> Tensor:
@@ -289,14 +296,12 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int) -> Tensor:
     """
     if x.data.ndim != 2 or x.data.shape[0] == 0:
         raise EmptySequenceError(f"dilated_conv1d needs a nonempty n x c matrix, got {x.data.shape}")
-    if not isinstance(dilation, (int, np.integer)) or dilation < 1:
-        raise ParameterError(f"dilation must be a positive integer, got {dilation}")
+    d = _positive_int("dilation", dilation)
     if kernel.data.ndim != 3 or kernel.data.shape[0] != 3 or kernel.data.shape[1] != x.data.shape[1]:
         raise ShapeError(
             f"kernel must be 3 x c_in x c_out with c_in={x.data.shape[1]}, got {kernel.data.shape}"
         )
     n = x.data.shape[0]
-    d = int(dilation)
     xd = x.data
     k0, k1, k2 = kernel.data[0], kernel.data[1], kernel.data[2]
     y = xd @ k1
@@ -369,10 +374,10 @@ def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
         raise ShapeError(
             f"q/k/v shapes differ: {q.data.shape}, {k.data.shape}, {v.data.shape}"
         )
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
     n, h = q.data.shape
-    w = min(int(window), n)
+    if h == 0:
+        raise ShapeError("chunked_attention needs q/k/v of nonzero width")
+    w = min(_positive_int("window", window), n)
     nf, rem = divmod(n, w)
     inv_scale = 1.0 / math.sqrt(h)
 

@@ -432,6 +432,9 @@ def train(manifest, model_config: ModelConfig, train_config: TrainConfig,
     if resume is not None:
         if resume.model_config != model_config:
             raise ConfigError("resume checkpoint was trained with a different model config")
+        if train_config.epochs < resume.epoch:
+            raise ConfigError(f"resume checkpoint is at epoch {resume.epoch}, past the "
+                              f"{train_config.epochs} epochs to train")
         params = {k: Tensor(a.copy(), requires_grad=True) for k, a in resume.params.items()}
         adam = resume.adam if resume.adam is not None else AdamState()
         if resume.rng_state is not None:

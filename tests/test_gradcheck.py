@@ -34,9 +34,11 @@ def test_cli_corrupt_smoothing_loss_fails(capsys):
     assert "smoothing_loss: max_rel_err=" in capsys.readouterr().out
 
 
-def test_unknown_corrupt_target():
-    with pytest.raises(ValueError):
+def test_unknown_corrupt_target(capsys):
+    with pytest.raises(ParameterError, match="made_up_op"):
         gc.run_suite(seeds=1, corrupt="made_up_op")
+    assert main(["gradcheck", "--seeds", "1", "--corrupt", "nothing"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot corrupt unknown op 'nothing'")
 
 
 @pytest.mark.parametrize("seeds", [0, -1])

@@ -8,7 +8,7 @@ import pytest
 
 from vitals import tensor as T
 from vitals.errors import EmptySequenceError, ParameterError, ShapeError
-from vitals.model import ModelConfig, init_params, model_forward, total_loss
+from vitals.model import ModelConfig, init_params, model_forward, smoothing_loss, total_loss
 from vitals.tensor import Tape, Tensor, backward, finite_difference_check
 
 
@@ -77,6 +77,23 @@ def ref_chunked_attention(q, k, v, window, dout):
     dq = ((ds @ kc) * inv_scale).reshape(-1, h)[:n]
     dk = ((ds.transpose(0, 2, 1) @ qc) * inv_scale).reshape(-1, h)[:n]
     return o, (dq, dk, dv)
+
+
+def ref_dropout(x, rate, rng, dout):
+    """Reference training dropout forward and backward: a float mask."""
+    keep = rng.random(x.shape) >= rate
+    mask = keep.astype(x.dtype) / (1.0 - rate)
+    return x * mask, (dout * mask,)
+
+
+def specials(dtype, size, rng):
+    """size values of dtype: signed zeros, infinities, NaN, the largest finite
+    values and subnormals, then standard normals."""
+    fi = np.finfo(dtype)
+    head = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, fi.max, -fi.max,
+                     fi.smallest_subnormal, -fi.smallest_subnormal, fi.tiny], dtype)
+    return np.concatenate([np.tile(head, 8),
+                           rng.standard_normal(size - 8 * head.size).astype(dtype)])
 
 
 def assert_same_bits(got, ref):
@@ -176,6 +193,12 @@ class TestDilatedConv1d:
         with pytest.raises(ParameterError):
             T.dilated_conv1d(x, self.kernel([0, 1, 0]), 0)
 
+    @pytest.mark.parametrize("dilation", [-1, 2.5, np.nan])
+    def test_non_positive_integer_dilation(self, dilation):
+        x = Tensor(np.zeros((3, 1)))
+        with pytest.raises(ParameterError, match="dilation must be a positive integer"):
+            T.dilated_conv1d(x, self.kernel([0, 1, 0]), dilation)
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -273,6 +296,21 @@ class TestDropout:
         with pytest.raises(ParameterError, match="Generator"):
             T.dropout(Tensor(np.ones((4, 4))), 0.3, rng=rng, training=True)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_bits_match_float_mask(self, rate, dtype):
+        # the mask is applied without building it, so the product must be
+        # checked on every special value, NaN payloads and zero signs included
+        rng = np.random.default_rng(int(rate * 100))
+        x = specials(dtype, 240, rng).reshape(16, 15)
+        dout = specials(dtype, 240, rng)[::-1].reshape(16, 15)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, grads = op_and_grads(
+                lambda t: T.dropout(t, rate, rng=np.random.default_rng(3), training=True), [x], dout)
+            ref_out, ref_grads = ref_dropout(x, rate, np.random.default_rng(3), dout)
+        assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
+        assert grads[0].dtype == dtype and grads[0].tobytes() == ref_grads[0].tobytes()
+
     def test_training_forward_needs_generator(self):
         config = ModelConfig(num_phases=3, input_dim=4, hidden_dim=4, num_layers=1,
                              num_decoders=0, dropout_rate=0.3)
@@ -313,15 +351,29 @@ class TestBackward:
         grads = [rng.standard_normal((4, 3)).astype(dtype) for _ in range(3)]
         grads[0].flat[::2] = -0.0
         first = grads[0].copy()
-        acc = T.GradSlot() if target == "slot" else Tensor(np.ones((4, 3), dtype), requires_grad=True)
+        # a node's gradient is its output's; a leaf's is its .grad
+        if target == "slot":
+            acc = T.TapeNode("op", [], None)
+            held = lambda: acc.output
+        else:
+            acc = Tensor(np.ones((4, 3), dtype), requires_grad=True)
+            held = lambda: acc.grad
         ref = np.zeros_like(grads[0])
         for g in grads:
             acc.accumulate_grad(g)
             ref += g
-            np.testing.assert_array_equal(acc.grad, ref, strict=True)
-            np.testing.assert_array_equal(np.signbit(acc.grad), np.signbit(ref))
+            np.testing.assert_array_equal(held(), ref, strict=True)
+            np.testing.assert_array_equal(np.signbit(held()), np.signbit(ref))
         # the sum is kept in an array of its own, never in the first gradient
         np.testing.assert_array_equal(grads[0], first)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scalar_leaf_as_loss(self, dtype):
+        x = Tensor(np.asarray(3.0, dtype), requires_grad=True)
+        with Tape() as tape:
+            pass
+        backward(tape, x)
+        assert x.grad == 1.0 and x.grad.dtype == dtype
 
     def test_nonscalar_loss_rejected(self):
         x = t64([1.0, 2.0])
@@ -412,6 +464,25 @@ class TestStepMemory:
             if enabled:
                 gc.enable()
 
+    def test_smoothing_loss_pins_no_logits(self):
+        """Smoothing's backward builds its zero gradient from the shape alone,
+        so the logits die with their tensor while the tape lives."""
+        x = t64(np.random.default_rng(3).standard_normal((6, 3)))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with Tape() as tape:
+                logits = T.scale(x, 2.0)
+                ref = weakref.ref(logits.data)
+                loss = smoothing_loss(logits, logits, 4.0)
+                del logits
+                assert ref() is None
+            backward(tape, loss)
+        finally:
+            if enabled:
+                gc.enable()
+        assert x.grad is not None and np.abs(x.grad).sum() > 0
+
     def test_mid_config_step_peak(self):
         """tracemalloc peak of one train step at n=1200, d=h=64, L=10, N=3.
 
@@ -478,6 +549,17 @@ class TestChunkedAttention:
     def test_empty_sequence(self):
         z = Tensor(np.zeros((0, 2)))
         with pytest.raises(EmptySequenceError):
+            T.chunked_attention(z, z, z, 2)
+
+    @pytest.mark.parametrize("window", [0, -3, 2.5, np.nan, "4"])
+    def test_bad_window(self, window):
+        z = Tensor(np.zeros((5, 2)))
+        with pytest.raises(ParameterError, match="window must be a positive integer"):
+            T.chunked_attention(z, z, z, window)
+
+    def test_zero_width(self):
+        z = Tensor(np.zeros((5, 0)))
+        with pytest.raises(ShapeError, match="nonzero width"):
             T.chunked_attention(z, z, z, 2)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

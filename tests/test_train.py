@@ -581,6 +581,17 @@ class TestTrainingLoop:
             run_train(manifest, small_model(hidden_dim=16), TrainConfig(epochs=1, seed=0),
                       resume=ck)
 
+    def test_resume_past_target_epoch(self, tmp_path):
+        # resumed with epochs=1, an epoch-2 checkpoint would come back as epoch 1
+        # holding two epochs of Adam steps, and resuming that would train
+        # epoch 2 a second time
+        manifest = make_dataset(tmp_path)
+        ck, _ = run_train(manifest, small_model(), TrainConfig(epochs=2, seed=0))
+        with pytest.raises(ConfigError, match="epoch 2.* 1 epochs"):
+            run_train(manifest, small_model(), TrainConfig(epochs=1, seed=0), resume=ck)
+        same, log = run_train(manifest, small_model(), TrainConfig(epochs=2, seed=0), resume=ck)
+        assert log == [] and same.epoch == 2 and same.adam.t == ck.adam.t
+
     def test_log_line_format(self, tmp_path):
         manifest = make_dataset(tmp_path)
         _, log = run_train(manifest, small_model(), TrainConfig(epochs=2, seed=0))
