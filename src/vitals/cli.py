@@ -172,7 +172,7 @@ def cmd_synth(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    n_train = max(1, round(args.videos * args.train_fraction)) if args.videos > 1 else 1
+    n_train = max(1, round(args.videos * args.train_fraction))
     for i in range(args.videos):
         vid = f"video{i:03d}"
         features, labels = generate_synthetic_video(spec, seed=args.seed + i, video_id=vid)
@@ -191,10 +191,9 @@ def cmd_gradcheck(args):
     results = gc.run_suite(seeds=args.seeds, corrupt=args.corrupt)
     failed = False
     for name, err in results.items():
-        status = "ok" if err < gc.THRESHOLD else "FAIL"
-        if err >= gc.THRESHOLD:
-            failed = True
-        print(f"{name}: max_rel_err={err:.3e} {status}")
+        ok = err < gc.THRESHOLD  # false for NaN
+        failed |= not ok
+        print(f"{name}: max_rel_err={err:.3e} {'ok' if ok else 'FAIL'}")
     return 1 if failed else 0
 
 

@@ -13,7 +13,7 @@ depth keep activations bounded at the scales this package targets.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,13 +52,6 @@ class ModelConfig:
     def schedule(self, n: int):
         """Per-block window/dilation sizes: 2^i for i=1..L, capped at n."""
         return [min(2 ** i, n) for i in range(1, self.num_layers + 1)]
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 @dataclass
@@ -217,13 +210,11 @@ def cross_entropy_loss(logits: Tensor, labels, class_weights=None) -> Tensor:
     bad = np.nonzero((labels < 0) | (labels >= K))[0]
     if bad.size:
         raise DataError(f"label out of range [0,{K}) at frame {int(bad[0])}")
-    if class_weights is None:
-        w = np.ones(n, dtype=z.dtype)
-    else:
-        class_weights = np.asarray(class_weights, dtype=z.dtype)
-        if class_weights.shape != (K,) or (class_weights < 0).any():
-            raise ParameterError(f"class_weights must be {K} nonnegative floats")
-        w = class_weights[labels]
+    class_weights = np.asarray(np.ones(K) if class_weights is None else class_weights,
+                               dtype=z.dtype)
+    if class_weights.shape != (K,) or (class_weights < 0).any():
+        raise ParameterError(f"class_weights must be {K} nonnegative floats")
+    w = class_weights[labels]
 
     p = T.softmax(z)
     py = p[np.arange(n), labels]

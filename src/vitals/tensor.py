@@ -35,12 +35,11 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "tape", "node_id")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        if dtype is None and isinstance(data, (np.ndarray, np.floating)) \
-                and data.dtype in (np.float32, np.float64):
+    def __init__(self, data, requires_grad=False):
+        if isinstance(data, (np.ndarray, np.floating)) and data.dtype in (np.float32, np.float64):
             self.data = np.asarray(data)  # preserve the op-chain dtype (32- or 64-bit)
         else:
-            self.data = np.asarray(data, dtype=dtype or np.float32)
+            self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
         self.requires_grad = requires_grad
         self.tape = None      # tape this tensor was produced on, if any
@@ -304,34 +303,32 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int) -> Tensor:
     n = x.data.shape[0]
     xd = x.data
     k0, k1, k2 = kernel.data[0], kernel.data[1], kernel.data[2]
+    # y[t] += x[t-d] @ k0 + x[t+d] @ k2 over the k frames with such a
+    # neighbour (none once d >= n). numpy multiplies a lone row (k = 1) by
+    # gemv, whose sums can differ in the last bit from the same row inside a
+    # gemm, so take it from two rows
+    k = max(n - d, 0)
+    m = max(k, 2)
     y = xd @ k1
-    if d < n:
-        # y[t] += x[t-d] @ k0 + x[t+d] @ k2, zero-padded out of range. numpy
-        # multiplies a lone row (d = n-1) by gemv, whose sums can differ in
-        # the last bit from the same row inside a gemm, so take it from two rows
-        m = max(n - d, 2)
-        y[d:] += (xd[:m] @ k0)[: n - d]
-        y[: n - d] += (xd[n - m:] @ k2)[m - (n - d):]
+    y[n - k:] += (xd[:m] @ k0)[:k]
+    y[:k] += (xd[n - m:] @ k2)[m - k:]
     out = Tensor(y)
 
     def bwd(dout):
         # dk contracts over all n frames against zero-padded shifted copies of
         # x, built one at a time in one buffer that lives only for these products
         shifted = np.zeros_like(xd)
-        if d < n:
-            shifted[d:] = xd[: n - d]
+        shifted[n - k:] = xd[:k]
         dk0 = shifted.T @ dout
-        if d < n:
-            shifted[: n - d] = xd[d:]
-            shifted[n - d:] = 0.0
+        shifted[:k] = xd[n - k:]
+        shifted[k:] = 0.0
         dk2 = shifted.T @ dout
         del shifted
         dk = np.stack([dk0, xd.T @ dout, dk2])
         dx = dout @ k1.T
-        if d < n:
-            # y[t] took x[t-d] through k0 -> scatter back to t-d
-            dx[: n - d] += dout[d:] @ k0.T
-            dx[d:] += dout[: n - d] @ k2.T
+        # y[t] took x[t-d] through k0 -> scatter back to t-d
+        dx[:k] += dout[n - k:] @ k0.T
+        dx[n - k:] += dout[:k] @ k2.T
         return dx, dk
 
     return record("dilated_conv1d", [x, kernel], out, bwd)
@@ -420,15 +417,18 @@ def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # gradient checking
 
+FD_STEP = 1e-4  # the central difference's step in each coordinate
 
-def finite_difference_check(fn, inputs, eps=1e-4, seed=0):
+
+def finite_difference_check(fn, inputs, seed=0):
     """Max relative error of analytic vs central-difference gradients.
 
     `fn(*inputs)` must be a deterministic tensor function; the output is
     reduced to a scalar through a random fixed projection. Inputs should be
     64-bit tensors with requires_grad set on every argument under test.
     Relative error is |a - b| / max(|a|, |b|, 1e-8), maximized over all
-    coordinates of all checked inputs.
+    coordinates of all checked inputs; a coordinate whose error is not
+    finite (a NaN or infinite gradient) counts as an infinite error.
     """
     rng = np.random.default_rng(seed)
     for t in inputs:
@@ -439,7 +439,7 @@ def finite_difference_check(fn, inputs, eps=1e-4, seed=0):
     with Tape() as tape:
         out = fn(*inputs)
         proj = rng.standard_normal(out.data.shape)
-        loss = sum_all(mul(out, Tensor(proj, dtype=out.data.dtype)))
+        loss = sum_all(mul(out, Tensor(proj.astype(out.data.dtype, copy=False))))
     backward(tape, loss)
 
     def scalar_eval():
@@ -453,13 +453,13 @@ def finite_difference_check(fn, inputs, eps=1e-4, seed=0):
         flat = t.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + FD_STEP
             f_plus = scalar_eval()
-            flat[i] = orig - eps
+            flat[i] = orig - FD_STEP
             f_minus = scalar_eval()
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             a = float(analytic.reshape(-1)[i])
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
+            worst = max(worst, err if math.isfinite(err) else math.inf)
     return worst

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import get_type_hints
 
@@ -152,7 +152,8 @@ def adam_step(params, state: AdamState, learning_rate, weight_decay=0.0):
     The first step moves the parameters and moments into flat buffers (see
     `_bind`), so every p.data is a view afterwards, and each step is a few
     whole-buffer ops whose elementwise arithmetic is that of a per-parameter
-    update. A None gradient reads as zeros. A non-finite gradient raises
+    update. A None gradient reads as zeros; a zero weight_decay adds +-0.0,
+    whose sign no later op tells apart. A non-finite gradient raises
     TrainingError before anything, `state.t` included, changes.
     """
     if not params:
@@ -175,9 +176,8 @@ def adam_step(params, state: AdamState, learning_rate, weight_decay=0.0):
     # below rounds exactly as the expression in its comment
     learning_rate, weight_decay = float(learning_rate), float(weight_decay)
     s = np.empty_like(p)
-    if weight_decay:
-        np.multiply(p, weight_decay, out=s)
-        g += s                           # g = g + wd * p
+    np.multiply(p, weight_decay, out=s)
+    g += s                               # g = g + wd * p
     np.subtract(g, m, out=s)
     s *= 1.0 - ADAM_BETA1
     m += s                               # m += (1 - b1) * (g - m)
@@ -249,7 +249,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
         raise ParameterError(f"checkpoint tensors {wrong} are missing, unexpected or misshaped "
                              f"for the model config (adam_t={adam_t})")
     meta = {
-        "model_config": ckpt.model_config.to_dict(),
+        "model_config": asdict(ckpt.model_config),
         "epoch": ckpt.epoch,
         "rng_state": ckpt.rng_state,
         "adam_t": adam_t,
@@ -277,9 +277,6 @@ def _model_config_from_meta(path, meta) -> ModelConfig:
     """Validate checkpoint metadata and build its ModelConfig."""
     if not isinstance(meta, dict):
         raise CorruptionError(f"{path}: checkpoint metadata is not a JSON object")
-    names = meta.get("param_names")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise CorruptionError(f"{path}: checkpoint metadata lacks a param_names list")
     config = meta.get("model_config")
     if not isinstance(config, dict):
         raise CorruptionError(f"{path}: checkpoint metadata lacks a model_config object")
@@ -289,7 +286,7 @@ def _model_config_from_meta(path, meta) -> ModelConfig:
     if query != "probs":
         raise ConfigError(f"{path}: decoder_query {query!r} is no longer supported")
     try:
-        return ModelConfig.from_dict(config)
+        return ModelConfig(**config)
     except (TypeError, ParameterError) as err:  # unknown or missing keys, bad values
         raise ConfigError(f"{path}: bad model_config: {err}") from None
 
@@ -335,7 +332,7 @@ def load_checkpoint(path) -> Checkpoint:
                                   f"(adam_t={adam_t}), more than the {left} bytes after the "
                                   f"metadata can hold", offset=size)
         names = list(parameter_shapes(model_config))
-        if meta["param_names"] != names:
+        if meta.get("param_names") != names:
             raise CorruptionError(f"{path}: param_names do not list the model config's "
                                   f"{len(names)} parameters in order")
 
@@ -522,10 +519,7 @@ def evaluate(ckpt: Checkpoint, manifest, split) -> EvaluationResult:
         raise DataError(f"no videos in split {split!r}: nothing to report")
 
     def run(entry):  # one video is held at a time: loaded, run and dropped on return
-        try:
-            v = _load_video(entry, config.num_phases)
-        except DataError as err:
-            raise ConfigError(f"data does not match checkpoint phase count: {err}") from err
+        v = _load_video(entry, config.num_phases)
         preds = infer(ckpt, v.features, f"video {v.video_id}")
         final = M.video_report(v.labels, preds.argmax(-1), config.num_phases, v.video_id)
         stage0 = M.video_report(v.labels, preds.argmax(0), config.num_phases, v.video_id)

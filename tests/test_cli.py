@@ -165,7 +165,7 @@ class TestExitCodes:
         report = tmp_path / "r.txt"
         assert run("eval", "--checkpoint", str(ckpt), "--manifest", str(dataset / "manifest.tsv"),
                    "--split", "train", "--report", str(report)) == 1
-        assert "data does not match checkpoint phase count" in capsys.readouterr().err
+        assert "video001.txt: phase 7 out of range" in capsys.readouterr().err
         assert not report.exists()
 
     def test_incomplete_optimizer_state(self, tmp_path, dataset, capsys,
@@ -210,6 +210,14 @@ class TestSynth:
                        str(tmp_path / "out"), flag, value) == 1
             assert capsys.readouterr().err.startswith(f"error: {flag} must be")
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fraction", ["0", "0.5", "1"])
+    def test_one_video_goes_to_train(self, tmp_path, fraction):
+        spec = tmp_path / "spec.conf"
+        write_spec_file(spec, SyntheticSpec(durations=[(0.05, 0.0)] * 3, feature_dim=4))
+        assert run("synth", "--spec", str(spec), "--videos", "1", "--out-dir",
+                   str(tmp_path / "out"), "--train-fraction", fraction) == 0
+        assert [e.split for e in load_manifest(tmp_path / "out" / "manifest.tsv")] == ["train"]
 
     def test_spec_file_roundtrip(self, tmp_path):
         spec = SyntheticSpec(durations=[(1.5, 0.2), (2.0, 0.0)], feature_dim=4,

@@ -55,3 +55,9 @@ def test_single_seed_suite_passes():
     assert set(results) == set(gc.CHECKS)
     for name, err in results.items():
         assert err < gc.THRESHOLD, f"{name}: {err}"
+
+
+def test_cli_fails_on_a_nan_error(capsys, monkeypatch):
+    monkeypatch.setattr(gc, "run_suite", lambda seeds, corrupt: {"relu": float("nan")})
+    assert main(["gradcheck", "--seeds", "1"]) == 1
+    assert capsys.readouterr().out == "relu: max_rel_err=nan FAIL\n"

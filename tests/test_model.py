@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ class TestConfig:
 
     def test_roundtrip(self):
         c = small_config()
-        assert ModelConfig.from_dict(c.to_dict()) == c
+        assert ModelConfig(**asdict(c)) == c
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -224,6 +226,22 @@ class TestLosses:
         nll = -np.log(p[np.arange(8), labels])
         expected = (w[labels] * nll).sum() / w[labels].sum()
         np.testing.assert_allclose(float(loss.data), expected, rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ce_without_weights_is_bitwise_all_ones(self, dtype):
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((9, 4)).astype(dtype)
+        labels = rng.integers(0, 4, size=9)
+        runs = []
+        for weights in (None, np.ones(4)):
+            logits = Tensor(z.copy(), requires_grad=True)
+            with Tape() as tape:
+                loss = cross_entropy_loss(logits, labels, weights)
+            backward(tape, loss)
+            runs.append((loss.data, logits.grad))
+        for a, b in zip(*runs):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
 
     def test_ce_rejects_bad_labels(self):
         z = Tensor(np.zeros((3, 2)))

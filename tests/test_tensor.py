@@ -211,7 +211,7 @@ class TestSoftmax:
         assert np.isfinite(out.data).all()
 
     def test_closed_form(self):
-        out = T.softmax_rows(Tensor([[np.log(2.0), 0.0]], dtype=np.float64))
+        out = T.softmax_rows(Tensor(np.array([[np.log(2.0), 0.0]])))
         np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-12)
 
     def test_rows_sum_to_one_and_shift_invariance(self):
@@ -594,6 +594,17 @@ class TestFiniteDifferenceOracle:
         err = finite_difference_check(
             lambda z: cross_entropy_loss(z, labels), [t64(rng.standard_normal((6, 3)))])
         assert err < 1e-3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_fails(self, bad):
+        # max(0.0, nan) is 0.0: a NaN error must not read as an exact gradient
+        def broken_relu(x):
+            out = Tensor(np.maximum(x.data, 0))
+            return T.record("relu", [x], out, lambda dout: (np.full_like(dout, bad),))
+
+        rng = np.random.default_rng(15)
+        err = finite_difference_check(broken_relu, [t64(rng.standard_normal((4, 3)))])
+        assert err == math.inf
 
 
 def test_no_nan_inf_after_ops():

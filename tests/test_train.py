@@ -1,12 +1,13 @@
 import os
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from vitals.data import (ManifestEntry, SyntheticSpec, generate_synthetic_video,
                          save_features, write_annotations, write_manifest)
-from vitals.errors import (ConfigError, CorruptionError, DataError, FormatError,
+from vitals.errors import (ConfigError, CorruptionError, CoverageError, DataError, FormatError,
                            ParameterError, TrainingError)
 from vitals.model import ModelConfig, init_params
 from vitals.tensor import Tensor
@@ -333,7 +334,10 @@ class TestCheckpoint:
         lambda names: ["x"],
         lambda names: names[:-1],
         lambda names: names[1:] + names[:1],
-    ], ids=["other_name", "one_missing", "reordered"])
+        lambda names: None,
+        lambda names: dict.fromkeys(names, 1),
+        lambda names: list(range(len(names))),
+    ], ids=["other_name", "one_missing", "reordered", "null", "dict", "list_of_ints"])
     def test_param_names_must_match_the_config(self, tmp_path, edit_checkpoint_meta, edit):
         _, _, path = self.roundtrip(tmp_path)
         edit_checkpoint_meta(path, lambda m: {**m, "param_names": edit(m["param_names"])})
@@ -368,7 +372,7 @@ class TestCheckpoint:
             **m, "model_config": {**m["model_config"], "decoder_query": "probs"}})
         back = load_checkpoint(path)
         assert back.model_config == orig.model_config
-        assert "decoder_query" not in back.model_config.to_dict()
+        assert "decoder_query" not in asdict(back.model_config)
         for k in orig.params:
             np.testing.assert_array_equal(back.params[k], orig.params[k])
 
@@ -639,14 +643,24 @@ class TestEvaluate:
         assert [r.video_id for r in got.reports] == ["video000", "video001", "video002"]
         assert got == want
 
-    def test_bad_video_mid_split_is_config_error(self, tmp_path):
+    def test_bad_video_mid_split_is_data_error(self, tmp_path):
         manifest = make_dataset(tmp_path, n_train=2, n_test=3)
         ck, _ = run_train(manifest, small_model(), TrainConfig(epochs=1, seed=0))
         bad = tmp_path / "video003.txt"  # the middle of the test split
         lines = bad.read_text().splitlines()
         lines[0] = "7," + lines[0].split(",", 1)[1]  # no phase 7 in a 3-phase checkpoint
         bad.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError, match="video003.txt: phase 7 out of range"):
+        with pytest.raises(DataError, match="video003.txt: phase 7 out of range"):
+            evaluate(ck, manifest, "test")
+
+    def test_annotation_gap_is_coverage_error(self, tmp_path):
+        manifest = make_dataset(tmp_path, n_train=2, n_test=3)
+        ck, _ = run_train(manifest, small_model(), TrainConfig(epochs=1, seed=0))
+        bad = tmp_path / "video003.txt"
+        phase, start, end = bad.read_text().splitlines()[0].split(",")
+        bad.write_text(bad.read_text().replace(f"{phase},{start},{end}\n",
+                                               f"{phase},{start},{int(end) - 1}\n", 1))
+        with pytest.raises(CoverageError, match=f"video003.txt: gap at frames {end}..{end}"):
             evaluate(ck, manifest, "test")
 
     def test_holds_one_video_at_a_time(self, tmp_path, traced_peak):
