@@ -3,8 +3,8 @@
 Builds a 6-video corpus (4 train / 2 test) of a 4-phase workflow with noisy
 features, trains a 4-layer encoder with 2 refinement decoders for a minute,
 and reports frame accuracy plus macro precision/recall/Jaccard on the
-held-out videos, comparing the encoder's initial prediction (stage 0)
-against the final refined stage.
+held-out videos for every stage, from the encoder's initial prediction
+(stage 0) to the final refined stage.
 """
 
 import tempfile
@@ -40,8 +40,9 @@ for line in log[::15] + [log[-1]]:
 
 result = evaluate(ckpt, entries, "test")
 print("\nheld-out results:")
-print(f"  stage 0 (encoder): {summary_line(result.stage0_aggregate)}")
-print(f"  final stage      : {summary_line(result.aggregate)}")
-for r in result.reports:
+for s, aggregate in enumerate(result.aggregates):
+    name = "encoder" if s == 0 else f"decoder {s}"
+    print(f"  stage {s} ({name}): {summary_line(aggregate)}")
+for r in result.reports[-1]:
     print(f"  {r.video_id}: accuracy {r.accuracy:.3f}, "
           f"jaccard {r.jaccard_macro:.3f}")

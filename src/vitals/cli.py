@@ -138,8 +138,8 @@ def cmd_train(args):
 def cmd_eval(args):
     ckpt = load_checkpoint(args.checkpoint)
     result = evaluate(ckpt, args.manifest, args.split)
-    Path(args.report).write_text(M.format_report(result.reports, result.aggregate))
-    print(M.summary_line(result.aggregate))
+    Path(args.report).write_text(M.format_report(result.reports[-1], result.aggregates[-1]))
+    print(M.summary_line(result.aggregates[-1]))
     return 0
 
 

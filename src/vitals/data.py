@@ -257,6 +257,8 @@ def downsample_indices(n, limit=DOWNSAMPLE_LIMIT):
     """Equal-interval frame indices: identity for n <= limit, else
     floor(i * n/limit) for i in [0, limit) -- strictly increasing since
     the spacing n/limit exceeds 1 in that branch."""
+    if type(limit) is not int or limit < 1:
+        raise ParameterError(f"downsample limit must be an integer >= 1, got {limit!r}")
     if n <= limit:
         return np.arange(n)
     w = n / limit

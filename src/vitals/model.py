@@ -148,11 +148,10 @@ def _block(x, query, params, prefix, size, config, training, rng):
 
 
 def encoder_forward(E: Tensor, params, config: ModelConfig, training=False, rng=None):
-    """Initial prediction pass.
+    """Initial prediction pass: n x K phase logits.
 
-    Returns (n x K logits, list of the L per-block hidden features). The
-    fusion head concatenates all block outputs feature-wise and maps them
-    linearly to phase logits.
+    The fusion head concatenates all block outputs feature-wise and maps
+    them linearly to phase logits.
     """
     n = E.data.shape[0]
     if E.data.ndim != 2 or E.data.shape[1] != config.input_dim:
@@ -164,7 +163,7 @@ def encoder_forward(E: Tensor, params, config: ModelConfig, training=False, rng=
         feats.append(x)
     fused = T.concat_cols(feats)
     logits = T.add_row(T.matmul(fused, params["fusion.weight"]), params["fusion.bias"])
-    return logits, feats
+    return logits
 
 
 def decoder_stage_forward(prev_probs: Tensor, params, stage: int, config: ModelConfig,
@@ -181,7 +180,7 @@ def decoder_stage_forward(prev_probs: Tensor, params, stage: int, config: ModelC
 
 def model_forward(E: Tensor, params, config: ModelConfig, training=False, rng=None):
     """Full pass: encoder stage 0 plus N chained decoder refinements."""
-    logits, _ = encoder_forward(E, params, config, training, rng)
+    logits = encoder_forward(E, params, config, training, rng)
     preds = StagePredictions()
     preds.logits.append(logits)
     preds.probs.append(T.softmax_rows(logits))

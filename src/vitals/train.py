@@ -9,6 +9,7 @@ uninterrupted one.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -57,6 +58,9 @@ class TrainConfig:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.balancing not in ("class-weights", "none"):
             raise ParameterError(f"unknown balancing mode {self.balancing!r}")
+        if type(self.downsample_limit) is not int or self.downsample_limit < 1:
+            raise ParameterError(f"downsample_limit must be an integer >= 1, "
+                                 f"got {self.downsample_limit!r}")
 
 
 # config-file key -> (dataclass, field it sets); the field's type parses the
@@ -153,22 +157,23 @@ def adam_step(params, state: AdamState, learning_rate, weight_decay=0.0):
     `_bind`), so every p.data is a view afterwards, and each step is a few
     whole-buffer ops whose elementwise arithmetic is that of a per-parameter
     update. A None gradient reads as zeros; a zero weight_decay adds +-0.0,
-    whose sign no later op tells apart. A non-finite gradient raises
-    TrainingError before anything, `state.t` included, changes.
+    whose sign no later op tells apart. A misshaped gradient raises ShapeError,
+    a non-finite one TrainingError, before anything, `state.t` included, changes.
     """
     if not params:
         raise ParameterError("adam_step needs at least one parameter")
+    for name, t in params.items():
+        if t.grad is not None and t.grad.shape != t.data.shape:
+            raise ShapeError(f"gradient of {name!r} has shape {t.grad.shape}, not {t.data.shape}")
     g = np.concatenate([t.grad.reshape(-1) if t.grad is not None
                         else np.zeros(t.data.size, t.data.dtype) for t in params.values()])
     if not np.isfinite(g).all():
-        parts = np.split(g, np.cumsum([t.data.size for t in params.values()])[:-1])
-        bad = next(name for name, part in zip(params, parts) if not np.isfinite(part).all())
+        bad = next(name for name, t in params.items()
+                   if t.grad is not None and not np.isfinite(t.grad).all())
         raise TrainingError(f"non-finite gradient in parameter {bad!r}")
     if not _is_bound(params, state):
         _bind(params, state)
     p, m, v = state.flat
-    if g.shape != p.shape:
-        raise ShapeError(f"the gradients hold {g.size} values, the parameters {p.size}")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
@@ -408,9 +413,26 @@ def _resolve_entries(manifest):
 # training
 
 
+def _resume(ckpt: Checkpoint, model_config: ModelConfig, train_config: TrainConfig, rng):
+    """(params, AdamState, start epoch) to continue `ckpt` from; sets `rng` to its state.
+    `ckpt` is never written: adam_step copies the params first and the m/v dicts are copies."""
+    if ckpt.model_config != model_config:
+        raise ConfigError("resume checkpoint was trained with a different model config")
+    if train_config.epochs < ckpt.epoch:
+        raise ConfigError(f"resume checkpoint is at epoch {ckpt.epoch}, past the "
+                          f"{train_config.epochs} epochs to train")
+    params = {k: Tensor(a, requires_grad=True) for k, a in ckpt.params.items()}
+    adam = (AdamState() if ckpt.adam is None
+            else AdamState(m=dict(ckpt.adam.m), v=dict(ckpt.adam.v), t=ckpt.adam.t))
+    if ckpt.rng_state is not None:
+        rng.bit_generator.state = ckpt.rng_state
+    return params, adam, ckpt.epoch
+
+
 def train(manifest, model_config: ModelConfig, train_config: TrainConfig,
           resume: Checkpoint = None, log_path=None):
-    """Run the epoch loop; returns (final Checkpoint, list of log lines)."""
+    """Run the epoch loop from `resume`, by default the seeded epoch-0 state, without
+    changing it; returns (final Checkpoint, list of log lines)."""
     entries = _resolve_entries(manifest)
     videos = load_videos(entries, "train", model_config.num_phases,
                          train_config.downsample_limit)
@@ -426,25 +448,14 @@ def train(manifest, model_config: ModelConfig, train_config: TrainConfig,
             v.weights = class_weights(v.labels, model_config.num_phases)
 
     rng = np.random.default_rng(train_config.seed)
-    if resume is not None:
-        if resume.model_config != model_config:
-            raise ConfigError("resume checkpoint was trained with a different model config")
-        if train_config.epochs < resume.epoch:
-            raise ConfigError(f"resume checkpoint is at epoch {resume.epoch}, past the "
-                              f"{train_config.epochs} epochs to train")
-        params = {k: Tensor(a.copy(), requires_grad=True) for k, a in resume.params.items()}
-        adam = resume.adam if resume.adam is not None else AdamState()
-        if resume.rng_state is not None:
-            rng.bit_generator.state = resume.rng_state
-        start_epoch = resume.epoch
-    else:
-        params = init_params(model_config, rng)
-        adam = AdamState()
-        start_epoch = 0
+    # built in the call, so the epoch-0 arrays are freed once the first step copies them
+    params, adam, start_epoch = _resume(
+        resume if resume is not None else Checkpoint(
+            model_config, {k: p.data for k, p in init_params(model_config, rng).items()}),
+        model_config, train_config, rng)
 
     log_lines = []
-    log_file = open(log_path, "a") if log_path else None
-    try:
+    with open(log_path, "a") if log_path else contextlib.nullcontext() as log_file:
         for epoch in range(start_epoch + 1, train_config.epochs + 1):
             order = rng.permutation(len(videos))
             losses, acc0, accf = [], [], []
@@ -472,9 +483,6 @@ def train(manifest, model_config: ModelConfig, train_config: TrainConfig,
             log_lines.append(line)
             if log_file:
                 log_file.write(line + "\n")
-    finally:
-        if log_file:
-            log_file.close()
 
     ckpt = Checkpoint(
         model_config=model_config,
@@ -491,11 +499,9 @@ def train(manifest, model_config: ModelConfig, train_config: TrainConfig,
 
 
 @dataclass
-class EvaluationResult:
-    reports: list               # final-stage per-video MetricsReports
-    aggregate: M.AggregateReport
-    stage0_reports: list
-    stage0_aggregate: M.AggregateReport
+class EvaluationResult:  # indexed by stage: 0 is the encoder, -1 the final stage
+    reports: list        # per stage, its per-video MetricsReports in video id order
+    aggregates: list     # per stage, the AggregateReport of its reports
 
 
 def infer(ckpt: Checkpoint, features, source) -> StagePredictions:
@@ -521,19 +527,11 @@ def evaluate(ckpt: Checkpoint, manifest, split) -> EvaluationResult:
     def run(entry):  # one video is held at a time: loaded, run and dropped on return
         v = _load_video(entry, config.num_phases)
         preds = infer(ckpt, v.features, f"video {v.video_id}")
-        final = M.video_report(v.labels, preds.argmax(-1), config.num_phases, v.video_id)
-        stage0 = M.video_report(v.labels, preds.argmax(0), config.num_phases, v.video_id)
-        return final, stage0
+        return [M.video_report(v.labels, preds.argmax(s), config.num_phases, v.video_id)
+                for s in range(preds.num_stages)]
 
-    results = [run(e) for e in entries]
-    final_reports = [r[0] for r in results]
-    stage0_reports = [r[1] for r in results]
-    return EvaluationResult(
-        reports=final_reports,
-        aggregate=M.aggregate(final_reports),
-        stage0_reports=stage0_reports,
-        stage0_aggregate=M.aggregate(stage0_reports),
-    )
+    reports = [list(stage) for stage in zip(*[run(e) for e in entries])]
+    return EvaluationResult(reports=reports, aggregates=[M.aggregate(r) for r in reports])
 
 
 def model_config_from_train(train_config: TrainConfig, input_dim, overrides):

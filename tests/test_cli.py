@@ -3,6 +3,7 @@ import pytest
 
 import vitals.cli
 import vitals.train
+from vitals import metrics as M
 from vitals.cli import main, read_spec_file, write_spec_file
 from vitals.data import (SyntheticSpec, load_features, load_manifest,
                          parse_annotation_segments)
@@ -279,6 +280,21 @@ class TestPipeline:
             stage = np.loadtxt(tmp_path / f"pred.stage{s}.txt")
             assert stage.shape == (n, 3)
             np.testing.assert_allclose(stage.sum(axis=1), 1.0, atol=1e-3)
+
+    def test_eval_writes_the_final_stage(self, tmp_path, dataset, capsys):
+        manifest = str(dataset / "manifest.tsv")
+        ckpt = tmp_path / "model.vtck"
+        assert run("train", "--manifest", manifest, "--config",
+                   str(write_config(tmp_path / "train.conf", decoders=2)),
+                   "--out-checkpoint", str(ckpt)) == 0
+        report = tmp_path / "report.txt"
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", str(ckpt), "--manifest", manifest,
+                   "--split", "train", "--report", str(report)) == 0
+        result = vitals.train.evaluate(vitals.train.load_checkpoint(ckpt), manifest, "train")
+        assert len(result.reports) == 3
+        assert report.read_text() == M.format_report(result.reports[-1], result.aggregates[-1])
+        assert capsys.readouterr().out == M.summary_line(result.aggregates[-1]) + "\n"
 
     def test_predict_feature_dim_mismatch(self, tmp_path, dataset):
         manifest = str(dataset / "manifest.tsv")

@@ -1,19 +1,22 @@
 import os
+import re
 import time
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from vitals.data import (ManifestEntry, SyntheticSpec, generate_synthetic_video,
-                         save_features, write_annotations, write_manifest)
+from vitals import metrics as M
+from vitals.data import (ManifestEntry, SyntheticSpec, downsample_indices,
+                         generate_synthetic_video, save_features, write_annotations,
+                         write_manifest)
 from vitals.errors import (ConfigError, CorruptionError, CoverageError, DataError, FormatError,
-                           ParameterError, TrainingError)
+                           ParameterError, ShapeError, TrainingError)
 from vitals.model import ModelConfig, init_params
 from vitals.tensor import Tensor
 from vitals.train import (CONFIG_KEYS, AdamState, Checkpoint, TrainConfig, adam_step, evaluate,
-                          load_checkpoint, model_config_from_train, parse_config,
-                          save_checkpoint)
+                          infer, load_checkpoint, load_manifest, load_videos,
+                          model_config_from_train, parse_config, save_checkpoint)
 from vitals.train import train as run_train
 
 
@@ -141,6 +144,38 @@ class TestAdam:
             np.testing.assert_array_equal(state.m[k], m[k])
             np.testing.assert_array_equal(state.v[k], v[k])
 
+    @pytest.mark.parametrize("stepped", [False, True], ids=["fresh", "stepped"])
+    @pytest.mark.parametrize("bad_grad", [lambda g: g.T.copy(), lambda g: g[:-1]],
+                             ids=["transposed", "wrong_size"])
+    def test_misshaped_gradient_changes_nothing(self, tmp_path, stepped, bad_grad):
+        config = small_model()
+        params = init_params(config, 0)
+        state = AdamState()
+        rng = np.random.default_rng(1)
+        if stepped:
+            set_grads(rng, set(), params)
+            adam_step(params, state, 0.1)
+        set_grads(rng, set(), params)
+        w = params["fusion.weight"]  # (L*h, K) = (16, 3)
+        w.grad = bad_grad(w.grad)
+        data = {k: (p.data, p.data.copy()) for k, p in params.items()}
+        moments = {(which, k): (a, a.copy()) for which, d in (("m", state.m), ("v", state.v))
+                   for k, a in d.items()}
+        t = state.t
+        with pytest.raises(ShapeError, match=rf"'fusion.weight'.*{re.escape(str(w.grad.shape))}"
+                                             r".*\(16, 3\)"):
+            adam_step(params, state, 0.1)
+        assert state.t == t
+        for k, p in params.items():
+            assert p.data is data[k][0]
+            np.testing.assert_array_equal(p.data, data[k][1])
+        assert moments.keys() == {("m", k) for k in state.m} | {("v", k) for k in state.v}
+        for (which, k), (a, copy) in moments.items():
+            assert getattr(state, which)[k] is a
+            np.testing.assert_array_equal(a, copy)
+        save_checkpoint(tmp_path / "c.vtck", Checkpoint(
+            config, {k: p.data for k, p in params.items()}, adam=state))
+
     def test_mixed_dtypes_rejected(self):
         params = {"a": Tensor(np.ones(2, np.float32), requires_grad=True),
                   "b": Tensor(np.ones(2, np.float64), requires_grad=True)}
@@ -216,6 +251,13 @@ class TestConfigFile:
             TrainConfig(epochs=0)
         with pytest.raises(ParameterError):
             TrainConfig(balancing="oversample")
+
+    @pytest.mark.parametrize("limit", [0, -3, 2.5])
+    def test_downsample_limit_must_be_a_positive_integer(self, limit):
+        with pytest.raises(ParameterError, match="downsample"):
+            TrainConfig(downsample_limit=limit)
+        with pytest.raises(ParameterError, match="downsample"):
+            downsample_indices(20, limit)
 
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(ParameterError, match="seed"):
@@ -578,6 +620,37 @@ class TestTrainingLoop:
         for k in full.params:
             np.testing.assert_array_equal(resumed.params[k], full.params[k])
 
+    def test_resume_leaves_its_checkpoint_unchanged(self, tmp_path):
+        manifest = make_dataset(tmp_path)
+        mc = small_model()
+        ck, _ = run_train(manifest, mc, TrainConfig(epochs=2, seed=7))
+
+        def snapshot():
+            arrays = (*ck.params.values(), *ck.adam.m.values(), *ck.adam.v.values())
+            return ck.adam.t, ck.rng_state, [a.tobytes() for a in arrays]
+
+        before = snapshot()
+        first, first_log = run_train(manifest, mc, TrainConfig(epochs=4, seed=7), resume=ck)
+        assert snapshot() == before
+        second, second_log = run_train(manifest, mc, TrainConfig(epochs=4, seed=7), resume=ck)
+        assert second_log == first_log
+        save_checkpoint(tmp_path / "first.vtck", first)
+        save_checkpoint(tmp_path / "second.vtck", second)
+        assert (tmp_path / "first.vtck").read_bytes() == (tmp_path / "second.vtck").read_bytes()
+
+    def test_fresh_run_is_a_resume_from_epoch_zero(self, tmp_path):
+        manifest = make_dataset(tmp_path)
+        mc, tc = small_model(), TrainConfig(epochs=3, seed=5)
+        rng = np.random.default_rng(tc.seed)
+        params = {k: p.data for k, p in init_params(mc, rng).items()}
+        epoch0 = Checkpoint(mc, params, rng_state=rng.bit_generator.state)
+        fresh, fresh_log = run_train(manifest, mc, tc)
+        resumed, resumed_log = run_train(manifest, mc, tc, resume=epoch0)
+        assert resumed_log == fresh_log
+        save_checkpoint(tmp_path / "fresh.vtck", fresh)
+        save_checkpoint(tmp_path / "resumed.vtck", resumed)
+        assert (tmp_path / "fresh.vtck").read_bytes() == (tmp_path / "resumed.vtck").read_bytes()
+
     def test_resume_config_mismatch(self, tmp_path):
         manifest = make_dataset(tmp_path)
         ck, _ = run_train(manifest, small_model(), TrainConfig(epochs=1, seed=0))
@@ -623,9 +696,22 @@ class TestEvaluate:
     def test_reports_both_stages(self, tmp_path):
         ck, manifest = self.trained(tmp_path)
         res = evaluate(ck, manifest, "train")
-        assert len(res.reports) == 3 and len(res.stage0_reports) == 3
-        assert [r.video_id for r in res.reports] == sorted(r.video_id for r in res.reports)
-        assert 0.0 <= res.aggregate.mean["accuracy"] <= 100.0
+        assert [len(r) for r in res.reports] == [3, 3]
+        assert [r.video_id for r in res.reports[-1]] == sorted(r.video_id for r in res.reports[-1])
+        assert 0.0 <= res.aggregates[-1].mean["accuracy"] <= 100.0
+
+    def test_every_stage_is_its_predictions_report(self, tmp_path):
+        manifest = make_dataset(tmp_path)
+        config = small_model(num_decoders=2)
+        ck, _ = run_train(manifest, config, TrainConfig(epochs=2, seed=0))
+        res = evaluate(ck, manifest, "train")
+        videos = load_videos(load_manifest(manifest), "train", config.num_phases)
+        preds = [infer(ck, v.features, v.video_id) for v in videos]
+        assert len(res.reports) == len(res.aggregates) == config.num_decoders + 1
+        for s, (reports, aggregate) in enumerate(zip(res.reports, res.aggregates)):
+            assert reports == [M.video_report(v.labels, p.argmax(s), config.num_phases, v.video_id)
+                               for v, p in zip(videos, preds)]
+            assert aggregate == M.aggregate(reports)
 
     def test_empty_split_errors(self, tmp_path):
         manifest = make_dataset(tmp_path, n_train=2, n_test=0)
@@ -640,7 +726,7 @@ class TestEvaluate:
         reordered.write_text("\n".join([lines[2], lines[0], lines[1]] + lines[3:]) + "\n")
         want = evaluate(ck, manifest, "train")
         got = evaluate(ck, reordered, "train")
-        assert [r.video_id for r in got.reports] == ["video000", "video001", "video002"]
+        assert [r.video_id for r in got.reports[-1]] == ["video000", "video001", "video002"]
         assert got == want
 
     def test_bad_video_mid_split_is_data_error(self, tmp_path):
@@ -678,5 +764,5 @@ class TestEvaluate:
         config = small_model(input_dim=256)
         ck = Checkpoint(config, {k: p.data for k, p in init_params(config, 0).items()})
         result, peak = traced_peak(lambda: evaluate(ck, entries, "test"))
-        assert len(result.reports) == 4
+        assert len(result.reports[-1]) == 4
         assert peak < 2 * payload
