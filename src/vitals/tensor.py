@@ -334,36 +334,65 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int) -> Tensor:
     return record("dilated_conv1d", [x, kernel], out, bwd)
 
 
-def _chunk_scores(lhs, rhs):
-    """Per-chunk lhs @ rhs^T into one chunks x w x w buffer; lhs and rhs are
-    (full chunks, padded tail chunk or None) pairs from `chunked_attention`."""
+# score elements per group of whole chunks that attention computes at once
+# (2^18: 1 MB of float32 scores); a chunk larger than this is a group alone
+_GROUP_SCORES = 1 << 18
+
+
+def _chunk_scores(lhs, rhs, c0, c1, buf):
+    """Per-chunk lhs @ rhs^T for chunks [c0, c1) into buf[: c1 - c0]; lhs and
+    rhs are (full chunks, padded tail chunk or None) pairs from
+    `chunked_attention`."""
     (lf, lt), (rf, rt) = lhs, rhs
-    if lt is None:
-        return lf @ rf.transpose(0, 2, 1)
-    nf, w, _ = lf.shape
-    out = np.empty((nf + 1, w, w), dtype=np.result_type(lf, rf))
-    np.matmul(lf, rf.transpose(0, 2, 1), out=out[:nf])
-    np.matmul(lt, rt.T, out=out[nf])
+    out = buf[: c1 - c0]
+    cf = min(c1, len(lf)) - c0  # full chunks in the group
+    np.matmul(lf[c0:c0 + cf], rf[c0:c0 + cf].transpose(0, 2, 1), out=out[:cf])
+    if c1 > len(lf):
+        np.matmul(lt, rt.T, out=out[cf])
     return out
 
 
-def _chunk_rows(lhs, rhs, n):
-    """Per-chunk lhs @ rhs as the n x h rows of the unpadded sequence; lhs is
-    chunks x w x w and rhs a (full chunks, padded tail chunk or None) pair."""
+def _chunk_rows(lhs, rhs, c0, out):
+    """Per-chunk lhs @ rhs into the rows of the n x h `out` that chunks c0 to
+    c0 + len(lhs) cover; lhs is a group of w x w chunks, rhs a (full chunks,
+    padded tail chunk or None) pair."""
     full, tail = rhs
     nf, w, h = full.shape
-    if tail is None:
-        return (lhs @ full).reshape(n, h)
-    out = np.empty((n, h), dtype=np.result_type(lhs, full))
-    np.matmul(lhs[:nf], full, out=out[: nf * w].reshape(nf, w, h))
-    out[nf * w:] = (lhs[nf] @ tail)[: n - nf * w]
-    return out
+    cf = min(len(lhs), nf - c0)  # full chunks in the group
+    np.matmul(lhs[:cf], full[c0:c0 + cf], out=out[c0 * w:(c0 + cf) * w].reshape(cf, w, h))
+    if cf < len(lhs):
+        out[nf * w:] = (lhs[cf] @ tail)[: len(out) - nf * w]
+
+
+def _chunk_weights(qs, ks, c0, c1, buf, inv_scale, rem, row_max=None, row_sum=None):
+    """Softmax attention weights of chunks [c0, c1), in place in buf, with
+    each row's max and sum: computed here when not given, so a rebuild from
+    the returned ones runs the same ops in the same order and gives the
+    same weights bit for bit. Returns (weights, row_max, row_sum)."""
+    a = _chunk_scores(qs, ks, c0, c1, buf)
+    a *= inv_scale
+    if c1 > len(qs[0]):
+        a[-1, :, rem:] = -np.inf  # padded keys never attended
+    if row_max is None:
+        row_max = a.max(axis=2, keepdims=True)
+    a -= row_max
+    np.exp(a, out=a)
+    if row_sum is None:
+        row_sum = a.sum(axis=2, keepdims=True)
+    a /= row_sum
+    return a, row_max, row_sum
 
 
 def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     """Scaled dot-product attention inside consecutive chunks of `window` rows.
 
     The last chunk may be shorter; no attention crosses chunk boundaries.
+    Whole chunks are computed a group at a time, at most `_GROUP_SCORES`
+    scores per group, through one reused buffer. Besides q, k and v the node
+    keeps only each row's softmax max and sum, and backward rebuilds each
+    group's weights from them, bit for bit. When every chunk fits in one
+    group, the node keeps that group's weights and backward recomputes
+    nothing.
     """
     if q.data.ndim != 2 or q.data.shape[0] == 0:
         raise EmptySequenceError("chunked_attention needs a nonempty sequence")
@@ -376,7 +405,11 @@ def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
         raise ShapeError("chunked_attention needs q/k/v of nonzero width")
     w = min(_positive_int("window", window), n)
     nf, rem = divmod(n, w)
+    nc = nf + (rem > 0)
+    per_group = min(max(_GROUP_SCORES // (w * w), 1), nc)
+    groups = [(c0, min(c0 + per_group, nc)) for c0 in range(0, nc, per_group)]
     inv_scale = 1.0 / math.sqrt(h)
+    dtype = np.result_type(q.data, k.data, v.data)
 
     def split(a):
         # full chunks as a view; only a short tail chunk is copied, padded to
@@ -389,29 +422,34 @@ def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
         return full, tail
 
     qs, ks, vs = split(q.data), split(k.data), split(v.data)
-    # softmax in place: the score buffer becomes the attention weights
-    a = _chunk_scores(qs, ks)
-    a *= inv_scale
-    if rem:
-        a[-1, :, rem:] = -np.inf  # padded keys never attended
-    a -= a.max(axis=2, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=2, keepdims=True)
-    out = Tensor(_chunk_rows(a, vs, n))
+    buf = np.empty((per_group, w, w), dtype)
+    out = np.empty((n, h), dtype)
+    stats = []  # per group: each row's softmax max and sum
+    for c0, c1 in groups:
+        a, row_max, row_sum = _chunk_weights(qs, ks, c0, c1, buf, inv_scale, rem)
+        stats.append((row_max, row_sum))
+        _chunk_rows(a, vs, c0, out)
+    weights = buf if len(groups) == 1 else None
 
     def bwd(dout):
         do = split(np.ascontiguousarray(dout))
-        dv = _chunk_rows(a.transpose(0, 2, 1), do, n)
-        ds = _chunk_scores(do, vs)  # d(loss)/d(a), then through the softmax in place
-        ds -= (ds * a).sum(axis=2, keepdims=True)
-        ds *= a
-        dq = _chunk_rows(ds, ks, n)
+        dq, dk, dv = (np.empty((n, h), dtype) for _ in range(3))
+        ds_buf = np.empty((per_group, w, w), dtype)
+        a_buf = None if weights is not None else np.empty_like(ds_buf)
+        for (c0, c1), (row_max, row_sum) in zip(groups, stats):
+            a = weights if weights is not None else _chunk_weights(
+                qs, ks, c0, c1, a_buf, inv_scale, rem, row_max, row_sum)[0]
+            _chunk_rows(a.transpose(0, 2, 1), do, c0, dv)
+            ds = _chunk_scores(do, vs, c0, c1, ds_buf)  # d(loss)/d(a), then through the softmax
+            ds -= (ds * a).sum(axis=2, keepdims=True)
+            ds *= a
+            _chunk_rows(ds, ks, c0, dq)
+            _chunk_rows(ds.transpose(0, 2, 1), qs, c0, dk)
         dq *= inv_scale
-        dk = _chunk_rows(ds.transpose(0, 2, 1), qs, n)
         dk *= inv_scale
         return dq, dk, dv
 
-    return record("chunked_attention", [q, k, v], out, bwd)
+    return record("chunked_attention", [q, k, v], Tensor(out), bwd)
 
 
 # ---------------------------------------------------------------------------

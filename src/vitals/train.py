@@ -52,8 +52,10 @@ class TrainConfig:
             raise ParameterError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ParameterError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.epochs < 1:
-            raise ParameterError("epochs must be >= 1")
+        if type(self.epochs) is not int or self.epochs < 1:
+            raise ParameterError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        if type(self.seed) is not int:
+            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:  # numpy's generators take only nonnegative seeds
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.balancing not in ("class-weights", "none"):

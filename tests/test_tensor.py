@@ -486,9 +486,10 @@ class TestStepMemory:
     def test_mid_config_step_peak(self):
         """tracemalloc peak of one train step at n=1200, d=h=64, L=10, N=3.
 
-        Measured on numpy 2.4: 164.8 MB, and 271.3 MB when every node pinned
-        its output and inputs and conv, attention and dropout kept copies; the
-        bound sits between, so a return of that pinning fails.
+        Measured on numpy 2.4: 110.3 MB; 164.8 MB when every attention node
+        kept its n x w weights for backward, and 271.3 MB when every node also
+        pinned its output and inputs and conv and dropout kept copies. The
+        bound sits between the first two, so a return of either fails.
         """
         config = ModelConfig(num_phases=7, input_dim=64, hidden_dim=64, num_layers=10,
                              num_decoders=3)
@@ -506,7 +507,7 @@ class TestStepMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 190e6, f"step peak {peak / 1e6:.1f} MB"
+        assert peak < 130e6, f"step peak {peak / 1e6:.1f} MB"
 
 
 class TestChunkedAttention:
@@ -562,15 +563,48 @@ class TestChunkedAttention:
         with pytest.raises(ShapeError, match="nonzero width"):
             T.chunked_attention(z, z, z, 2)
 
+    # up to (257, 16) every chunk fits in one group of 2^18 scores; (1536, 256),
+    # (1536, 512) and (4096, 128) span several groups with no tail; (2100, 128)
+    # and (1300, 512) put the padded tail in a group alone, (2500, 128) and
+    # (1300, 256) beside full chunks; a w=1024 chunk is larger than a group
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n,window", [(1, 1), (1, 4), (7, 2), (9, 2), (12, 4), (13, 4),
-                                          (10, 3), (5, 8), (6, 6), (300, 64), (257, 16)])
+                                          (10, 3), (5, 8), (6, 6), (300, 64), (257, 16),
+                                          (1536, 256), (1536, 512), (4096, 128), (2100, 128),
+                                          (1300, 512), (2500, 128), (1300, 256), (1100, 1024)])
     def test_bits_match_reference(self, n, window, dtype):
         rng = np.random.default_rng(n * 1000 + window)
         q, k, v, dout = (rng.standard_normal((n, 8)).astype(dtype) for _ in range(4))
         assert_same_bits(
             op_and_grads(lambda a, b, c: T.chunked_attention(a, b, c, window), [q, k, v], dout),
             ref_chunked_attention(q, k, v, window, dout))
+
+    @pytest.mark.parametrize("n,window,keeps_weights", [(1300, 512, False), (300, 64, True)])
+    def test_node_holds_weights_only_within_one_group(self, n, window, keeps_weights):
+        """The arrays a node's backward closure holds, walked one level deep as
+        perfbench's tape walk does: q, k and v (plus their padded tail copies)
+        and a softmax max and sum per padded row. Only a node whose chunks all
+        fit in one group also keeps their w x w weights."""
+        h, nc = 8, -(-n // window)
+        leaves = [Tensor(np.ones((n, h), dtype=np.float32), requires_grad=True)
+                  for _ in range(3)]
+        with Tape() as tape:
+            T.chunked_attention(*leaves, window)
+        held = {}
+
+        def walk(value):
+            if isinstance(value, (list, tuple)):
+                for item in value:
+                    walk(item)
+            elif isinstance(value, np.ndarray):
+                base = value if value.base is None else value.base
+                held[id(base)] = base
+
+        for cell in tape.nodes[-1].backward_fn.__closure__:
+            walk(cell.cell_contents)
+        expected = 3 * (n + window) * h + 2 * nc * window + keeps_weights * nc * window ** 2
+        assert sum(a.nbytes for a in held.values()) == 4 * expected
+        assert any(a.shape[-2:] == (window, window) for a in held.values()) == keeps_weights
 
 
 class TestFiniteDifferenceOracle:

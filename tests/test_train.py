@@ -259,6 +259,12 @@ class TestConfigFile:
         with pytest.raises(ParameterError, match="downsample"):
             downsample_indices(20, limit)
 
+    @pytest.mark.parametrize("field,value", [("epochs", 2.5), ("seed", 2.5), ("epochs", True),
+                                             ("seed", True)])
+    def test_epochs_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(ParameterError, match="seed"):
             TrainConfig(seed=-1)
