@@ -333,6 +333,10 @@ class SyntheticSpec:
             raise ParameterError(f"fps must be >= 1, got {self.fps}")
         if self.feature_dim < len(self.durations):
             raise ParameterError("feature_dim must be >= number of phases for distinct centroids")
+        if self.feature_dim * self.num_phases > SYNTHETIC_MAX_VALUES:
+            raise ParameterError(f"feature_dim {self.feature_dim} x {self.num_phases} phases = "
+                                 f"{self.feature_dim * self.num_phases} centroid values, above "
+                                 f"the limit of {SYNTHETIC_MAX_VALUES}")
 
     @property
     def num_phases(self):

@@ -339,40 +339,17 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int) -> Tensor:
 _GROUP_SCORES = 1 << 18
 
 
-def _chunk_scores(lhs, rhs, c0, c1, buf):
-    """Per-chunk lhs @ rhs^T for chunks [c0, c1) into buf[: c1 - c0]; lhs and
-    rhs are (full chunks, padded tail chunk or None) pairs from
-    `chunked_attention`."""
-    (lf, lt), (rf, rt) = lhs, rhs
-    out = buf[: c1 - c0]
-    cf = min(c1, len(lf)) - c0  # full chunks in the group
-    np.matmul(lf[c0:c0 + cf], rf[c0:c0 + cf].transpose(0, 2, 1), out=out[:cf])
-    if c1 > len(lf):
-        np.matmul(lt, rt.T, out=out[cf])
-    return out
-
-
-def _chunk_rows(lhs, rhs, c0, out):
-    """Per-chunk lhs @ rhs into the rows of the n x h `out` that chunks c0 to
-    c0 + len(lhs) cover; lhs is a group of w x w chunks, rhs a (full chunks,
-    padded tail chunk or None) pair."""
-    full, tail = rhs
-    nf, w, h = full.shape
-    cf = min(len(lhs), nf - c0)  # full chunks in the group
-    np.matmul(lhs[:cf], full[c0:c0 + cf], out=out[c0 * w:(c0 + cf) * w].reshape(cf, w, h))
-    if cf < len(lhs):
-        out[nf * w:] = (lhs[cf] @ tail)[: len(out) - nf * w]
-
-
-def _chunk_weights(qs, ks, c0, c1, buf, inv_scale, rem, row_max=None, row_sum=None):
-    """Softmax attention weights of chunks [c0, c1), in place in buf, with
-    each row's max and sum: computed here when not given, so a rebuild from
-    the returned ones runs the same ops in the same order and gives the
-    same weights bit for bit. Returns (weights, row_max, row_sum)."""
-    a = _chunk_scores(qs, ks, c0, c1, buf)
+def _chunk_weights(qs, ks, buf, inv_scale, mask, row_max=None, row_sum=None):
+    """Softmax attention weights of a group of w x h q and k chunks, in place
+    in buf, with each row's max and sum: computed here when not given, so a
+    rebuild from the returned ones runs the same ops in the same order and
+    gives the same weights bit for bit. A nonzero `mask` is the number of
+    real keys in the group's last chunk, which is zero-padded; the padded
+    keys get no weight. Returns (weights, row_max, row_sum)."""
+    a = np.matmul(qs, ks.transpose(0, 2, 1), out=buf[: len(qs)])
     a *= inv_scale
-    if c1 > len(qs[0]):
-        a[-1, :, rem:] = -np.inf  # padded keys never attended
+    if mask:
+        a[-1, :, mask:] = -np.inf
     if row_max is None:
         row_max = a.max(axis=2, keepdims=True)
     a -= row_max
@@ -387,12 +364,13 @@ def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     """Scaled dot-product attention inside consecutive chunks of `window` rows.
 
     The last chunk may be shorter; no attention crosses chunk boundaries.
-    Whole chunks are computed a group at a time, at most `_GROUP_SCORES`
-    scores per group, through one reused buffer. Besides q, k and v the node
-    keeps only each row's softmax max and sum, and backward rebuilds each
-    group's weights from them, bit for bit. When every chunk fits in one
-    group, the node keeps that group's weights and backward recomputes
-    nothing.
+    q, k and v are laid out as whole w x h chunks: views when the window
+    divides n, else one copy each, zero-padded to whole chunks. Chunks are
+    computed a group at a time, at most `_GROUP_SCORES` scores per group,
+    through one reused buffer. Besides the chunked q, k and v the node keeps
+    only each row's softmax max and sum, and backward rebuilds each group's
+    weights from them, bit for bit. When every chunk fits in one group, the
+    node keeps that group's weights and backward recomputes nothing.
     """
     if q.data.ndim != 2 or q.data.shape[0] == 0:
         raise EmptySequenceError("chunked_attention needs a nonempty sequence")
@@ -404,52 +382,53 @@ def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     if h == 0:
         raise ShapeError("chunked_attention needs q/k/v of nonzero width")
     w = min(_positive_int("window", window), n)
-    nf, rem = divmod(n, w)
-    nc = nf + (rem > 0)
+    nc, rem = -(-n // w), n % w
     per_group = min(max(_GROUP_SCORES // (w * w), 1), nc)
-    groups = [(c0, min(c0 + per_group, nc)) for c0 in range(0, nc, per_group)]
+    # each group's chunks, and the real keys of its last chunk when that is
+    # the zero-padded last chunk of the sequence (else 0: nothing to mask)
+    groups = [(slice(c0, min(c0 + per_group, nc)), rem if c0 + per_group >= nc else 0)
+              for c0 in range(0, nc, per_group)]
     inv_scale = 1.0 / math.sqrt(h)
     dtype = np.result_type(q.data, k.data, v.data)
 
-    def split(a):
-        # full chunks as a view; only a short tail chunk is copied, padded to
-        # w rows so every chunk is the same w x w (and w x h) product
-        full = a[: nf * w].reshape(nf, w, h)
-        if not rem:
-            return full, None
-        tail = np.zeros((w, h), dtype=a.dtype)
-        tail[:rem] = a[nf * w:]
-        return full, tail
+    def chunks(a):
+        if rem:
+            a = np.concatenate([a, np.zeros((nc * w - n, h), a.dtype)])
+        return a.reshape(nc, w, h)
 
-    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    def rows(c):
+        return c.reshape(nc * w, h)[:n]
+
+    qs, ks, vs = chunks(q.data), chunks(k.data), chunks(v.data)
     buf = np.empty((per_group, w, w), dtype)
-    out = np.empty((n, h), dtype)
+    out = np.empty((nc, w, h), dtype)
     stats = []  # per group: each row's softmax max and sum
-    for c0, c1 in groups:
-        a, row_max, row_sum = _chunk_weights(qs, ks, c0, c1, buf, inv_scale, rem)
+    for g, mask in groups:
+        a, row_max, row_sum = _chunk_weights(qs[g], ks[g], buf, inv_scale, mask)
         stats.append((row_max, row_sum))
-        _chunk_rows(a, vs, c0, out)
+        np.matmul(a, vs[g], out=out[g])
     weights = buf if len(groups) == 1 else None
 
     def bwd(dout):
-        do = split(np.ascontiguousarray(dout))
-        dq, dk, dv = (np.empty((n, h), dtype) for _ in range(3))
+        do = chunks(np.ascontiguousarray(dout))
+        dq, dk, dv = (np.empty((nc, w, h), dtype) for _ in range(3))
         ds_buf = np.empty((per_group, w, w), dtype)
         a_buf = None if weights is not None else np.empty_like(ds_buf)
-        for (c0, c1), (row_max, row_sum) in zip(groups, stats):
+        for (g, mask), (row_max, row_sum) in zip(groups, stats):
             a = weights if weights is not None else _chunk_weights(
-                qs, ks, c0, c1, a_buf, inv_scale, rem, row_max, row_sum)[0]
-            _chunk_rows(a.transpose(0, 2, 1), do, c0, dv)
-            ds = _chunk_scores(do, vs, c0, c1, ds_buf)  # d(loss)/d(a), then through the softmax
+                qs[g], ks[g], a_buf, inv_scale, mask, row_max, row_sum)[0]
+            np.matmul(a.transpose(0, 2, 1), do[g], out=dv[g])
+            # d(loss)/d(a), then through the softmax
+            ds = np.matmul(do[g], vs[g].transpose(0, 2, 1), out=ds_buf[: len(a)])
             ds -= (ds * a).sum(axis=2, keepdims=True)
             ds *= a
-            _chunk_rows(ds, ks, c0, dq)
-            _chunk_rows(ds.transpose(0, 2, 1), qs, c0, dk)
+            np.matmul(ds, ks[g], out=dq[g])
+            np.matmul(ds.transpose(0, 2, 1), qs[g], out=dk[g])
         dq *= inv_scale
         dk *= inv_scale
-        return dq, dk, dv
+        return rows(dq), rows(dk), rows(dv)
 
-    return record("chunked_attention", [q, k, v], Tensor(out), bwd)
+    return record("chunked_attention", [q, k, v], Tensor(rows(out)), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vitals.cli
+import vitals.data
 import vitals.train
 from vitals import metrics as M
 from vitals.cli import main, read_spec_file, write_spec_file
@@ -142,6 +143,21 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_spec_centroids_above_size_limit(self, tmp_path, capsys, monkeypatch):
+        # the spec is refused before its 2^30 x 2 centroid matrix would exist;
+        # phase_centroids raises, so the test allocates nothing even without the check
+        def no_centroids(spec):
+            raise AssertionError("phase_centroids reached")
+
+        monkeypatch.setattr(vitals.data, "phase_centroids", no_centroids)
+        spec = tmp_path / "spec.conf"
+        spec.write_text("feature_dim = 1073741824\nphase.0 = 1,0\nphase.1 = 1,0\n")
+        assert run("synth", "--spec", str(spec), "--videos", "1",
+                   "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "feature_dim 1073741824 x 2 phases" in err
+        assert "Traceback" not in err
 
     def test_non_finite_features(self, tmp_path, dataset, capsys):
         feats = dataset / "video000.vtaf"

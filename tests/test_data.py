@@ -266,6 +266,13 @@ class TestSynthetic:
         with pytest.raises(ParameterError):
             SyntheticSpec(durations=[(1.0, 0.0)] * 5, feature_dim=3)
 
+    def test_centroid_size_limit(self, monkeypatch):
+        # checked on the spec, before phase_centroids allocates d x K floats
+        monkeypatch.setattr(vitals.data, "SYNTHETIC_MAX_VALUES", 64)
+        self.small_spec(feature_dim=21)
+        with pytest.raises(ParameterError, match="feature_dim 22 x 3 phases .* limit of 64"):
+            self.small_spec(feature_dim=22)
+
     @pytest.mark.parametrize("fps", [0, -1])
     def test_fps_must_be_positive(self, fps):
         with pytest.raises(ParameterError, match="fps"):

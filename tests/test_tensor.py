@@ -582,9 +582,9 @@ class TestChunkedAttention:
     @pytest.mark.parametrize("n,window,keeps_weights", [(1300, 512, False), (300, 64, True)])
     def test_node_holds_weights_only_within_one_group(self, n, window, keeps_weights):
         """The arrays a node's backward closure holds, walked one level deep as
-        perfbench's tape walk does: q, k and v (plus their padded tail copies)
-        and a softmax max and sum per padded row. Only a node whose chunks all
-        fit in one group also keeps their w x w weights."""
+        perfbench's tape walk does: q, k and v zero-padded to whole chunks and
+        a softmax max and sum per padded row. Only a node whose chunks all fit
+        in one group also keeps their w x w weights."""
         h, nc = 8, -(-n // window)
         leaves = [Tensor(np.ones((n, h), dtype=np.float32), requires_grad=True)
                   for _ in range(3)]
@@ -602,7 +602,7 @@ class TestChunkedAttention:
 
         for cell in tape.nodes[-1].backward_fn.__closure__:
             walk(cell.cell_contents)
-        expected = 3 * (n + window) * h + 2 * nc * window + keeps_weights * nc * window ** 2
+        expected = 3 * nc * window * h + 2 * nc * window + keeps_weights * nc * window ** 2
         assert sum(a.nbytes for a in held.values()) == 4 * expected
         assert any(a.shape[-2:] == (window, window) for a in held.values()) == keeps_weights
 
