@@ -21,6 +21,9 @@ from . import tensor as T
 from .errors import DataError, ParameterError, ShapeError
 from .tensor import Tensor
 
+# parameter values one model may hold: 4 GiB of float32 (the paper config holds 1,291,820)
+MODEL_MAX_VALUES = 2**30
+
 
 @dataclass
 class ModelConfig:
@@ -42,6 +45,12 @@ class ModelConfig:
             value = getattr(self, name)
             if type(value) is not int or not low <= value < 2**32:
                 raise ParameterError(f"{name} must be an integer in [{low}, 2**32), got {value!r}")
+        values = num_parameter_values(self)  # refused before init_params allocates them
+        if values > MODEL_MAX_VALUES:
+            raise ParameterError(f"input_dim {self.input_dim}, hidden_dim {self.hidden_dim}, "
+                                 f"num_layers {self.num_layers}, num_decoders {self.num_decoders} "
+                                 f"and num_phases {self.num_phases} give {values} parameter "
+                                 f"values, above the limit of {MODEL_MAX_VALUES}")
         if not 0 <= self.dropout_rate < 1:
             raise ParameterError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not (math.isfinite(self.smooth_weight) and self.smooth_weight >= 0):
@@ -104,6 +113,16 @@ def num_parameter_tensors(config: ModelConfig):
     return (config.num_decoders + 1) * (6 * config.num_layers + 3)
 
 
+def num_parameter_values(config: ModelConfig):
+    """sum(prod(shape)) over parameter_shapes(config) without building it: the
+    input projection, (N+1)L blocks of a 3 x h x h conv, its bias and four h x h
+    attention maps, the fusion weight and bias, and per decoder an embedding,
+    a classifier weight and its bias."""
+    d, h, K = config.input_dim, config.hidden_dim, config.num_phases
+    L, N = config.num_layers, config.num_decoders
+    return d * h + (N + 1) * L * (7 * h * h + h) + L * h * K + K + N * K * (2 * h + 1)
+
+
 def init_params(config: ModelConfig, seed=0):
     """Seeded init: weights uniform in +-sqrt(1/fan_in), biases zero."""
     rng = np.random.default_rng(seed)
@@ -126,8 +145,6 @@ def init_params(config: ModelConfig, seed=0):
 def cross_attention(u: Tensor, f: Tensor, window: int, wq, wk, wv, wo) -> Tensor:
     """Chunked attention where the query comes from u, keys/values from f;
     u = f is self-attention."""
-    if u.data.shape != f.data.shape:
-        raise ShapeError(f"cross_attention expects matching shapes, got {u.data.shape} vs {f.data.shape}")
     q = T.matmul(u, wq)
     k = T.matmul(f, wk)
     v = T.matmul(f, wv)

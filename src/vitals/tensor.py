@@ -100,7 +100,7 @@ class Tape:
     def grad_target(self, t):
         """Where t's gradient accumulates on this tape: its producing node, t
         itself if it is a leaf requiring a gradient, or None for a constant."""
-        if t.tape is self and t.node_id is not None:
+        if t.tape is self:
             return self.nodes[t.node_id]
         return t if t.requires_grad else None
 
@@ -213,9 +213,8 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    gate = x.data > 0
-    out = Tensor(np.maximum(x.data, 0))  # +0.0 for -0.0; NaN stays NaN
-    return record("relu", [x], out, lambda dout: (dout * gate,))
+    y = np.maximum(x.data, 0)  # +0.0 for -0.0, NaN stays NaN: y > 0 exactly where x > 0
+    return record("relu", [x], Tensor(y), lambda dout: (dout * (y > 0),))
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -410,7 +409,7 @@ def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     weights = buf if len(groups) == 1 else None
 
     def bwd(dout):
-        do = chunks(np.ascontiguousarray(dout))
+        do = chunks(dout)
         dq, dk, dv = (np.empty((nc, w, h), dtype) for _ in range(3))
         ds_buf = np.empty((per_group, w, w), dtype)
         a_buf = None if weights is not None else np.empty_like(ds_buf)
@@ -450,8 +449,6 @@ def finite_difference_check(fn, inputs, seed=0):
     rng = np.random.default_rng(seed)
     for t in inputs:
         t.zero_grad()
-        t.tape = None
-        t.node_id = None
 
     with Tape() as tape:
         out = fn(*inputs)

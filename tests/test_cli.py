@@ -117,6 +117,22 @@ class TestExitCodes:
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "c.vtck").exists()
 
+    def test_model_above_size_limit(self, tmp_path, dataset, capsys, monkeypatch):
+        # the config is refused before its 2.8e12 parameter values would exist;
+        # init_params raises, so the test allocates nothing even without the check
+        def no_params(config, seed=0):
+            raise AssertionError("init_params reached")
+
+        monkeypatch.setattr(vitals.train, "init_params", no_params)
+        config = write_config(tmp_path / "t.conf", epochs=1, layers=10, decoders=3,
+                              hidden_dim=100000)
+        assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
+                   str(config), "--out-checkpoint", str(tmp_path / "c.vtck")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "above the limit of 1073741824" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "c.vtck").exists()
+
     def test_train_config_without_phases(self, tmp_path, dataset, capsys):
         config = tmp_path / "t.conf"
         config.write_text("epochs = 1\nlayers = 2\n")

@@ -1,13 +1,15 @@
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import vitals.model
 from vitals.errors import DataError, ParameterError, ShapeError
 from vitals.model import (ModelConfig, StagePredictions, cross_entropy_loss,
                           decoder_stage_forward, encoder_forward, init_params,
                           cross_attention, model_forward, num_parameter_tensors,
-                          parameter_shapes, smoothing_loss, total_loss)
+                          num_parameter_values, parameter_shapes, smoothing_loss, total_loss)
 from vitals.tensor import Tape, Tensor, backward
 
 
@@ -83,6 +85,23 @@ class TestParams:
     def test_tensor_count_without_the_layout(self, layers, decoders):
         c = small_config(num_layers=layers, num_decoders=decoders)
         assert num_parameter_tensors(c) == len(parameter_shapes(c))
+
+    @pytest.mark.parametrize("kw", [
+        dict(num_layers=1, num_decoders=0), dict(num_layers=1, num_decoders=2, hidden_dim=3),
+        dict(num_layers=3, num_decoders=0, hidden_dim=1), dict(num_layers=2, num_decoders=1),
+        dict(num_phases=11, input_dim=2048, hidden_dim=64, num_layers=10, num_decoders=3),
+    ], ids=["L1_N0", "L1_N2", "L3_N0_h1", "L2_N1", "paper"])
+    def test_value_count_without_the_layout(self, kw):
+        c = small_config(**kw)
+        assert num_parameter_values(c) == sum(math.prod(s) for s in parameter_shapes(c).values())
+
+    def test_value_limit_is_inclusive(self, monkeypatch):
+        c = small_config()
+        monkeypatch.setattr(vitals.model, "MODEL_MAX_VALUES", num_parameter_values(c))
+        assert small_config() == c
+        monkeypatch.setattr(vitals.model, "MODEL_MAX_VALUES", num_parameter_values(c) - 1)
+        with pytest.raises(ParameterError, match=f"give {num_parameter_values(c)} parameter values"):
+            small_config()
 
     def test_biases_zero_weights_bounded(self):
         c = small_config()
@@ -321,3 +340,16 @@ def test_self_attention_zero_query_gives_chunk_means():
         mean = f.data[4 * chunk: 4 * chunk + 4].mean(axis=0)
         for t in range(4 * chunk, 4 * chunk + 4):
             np.testing.assert_allclose(out.data[t], mean, atol=1e-5)
+
+
+@pytest.mark.parametrize("u_shape,f_shape,message", [
+    ((6, 4), (8, 4), "q/k/v shapes differ"), ((8, 4), (8, 5), "matmul shape mismatch"),
+], ids=["rows", "widths"])
+def test_cross_attention_shape_mismatch(u_shape, f_shape, message):
+    # rows differ: the chunked attention refuses q against k and v; widths
+    # differ: the key matmul refuses f against its h x h map
+    rng = np.random.default_rng(11)
+    u, f = (Tensor(rng.standard_normal(s).astype(np.float32)) for s in (u_shape, f_shape))
+    wq, wk, wv, wo = (Tensor(rng.standard_normal((4, 4)).astype(np.float32)) for _ in range(4))
+    with pytest.raises(ShapeError, match=message):
+        cross_attention(u, f, 4, wq, wk, wv, wo)

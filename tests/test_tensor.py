@@ -257,6 +257,25 @@ class TestRelu:
         out = T.relu(Tensor([np.nan, -1.0]))
         assert np.isnan(out.data[0]) and out.data[1] == 0.0
 
+    def test_backward_holds_only_the_output(self):
+        """The gate is read from the output in backward: the node keeps the
+        array the next ops already hold, and no bool mask."""
+        x = t64(np.random.default_rng(16).standard_normal((7, 5)))
+        with Tape() as tape:
+            out = T.relu(x)
+        held = [cell.cell_contents for cell in tape.nodes[-1].backward_fn.__closure__]
+        assert len(held) == 1 and isinstance(held[0], np.ndarray)
+        assert np.shares_memory(held[0], out.data) and held[0].dtype != bool
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_is_the_input_gate(self, dtype):
+        # NaN and both zeros pass no gradient, the tiniest positive value does
+        x = np.array([np.nan, 0.0, -0.0, 1e-300, -1e-300, np.finfo(dtype).smallest_subnormal,
+                      -np.finfo(dtype).smallest_subnormal, 2.0, -2.0], dtype)
+        dout = np.arange(1, x.size + 1, dtype=dtype)
+        _, (dx,) = op_and_grads(T.relu, [x], dout)
+        np.testing.assert_array_equal(dx, dout * (x > 0), strict=True)
+
 
 class TestDropout:
     def test_rate_zero_identity(self):
@@ -628,6 +647,21 @@ class TestFiniteDifferenceOracle:
         err = finite_difference_check(
             lambda z: cross_entropy_loss(z, labels), [t64(rng.standard_normal((6, 3)))])
         assert err < 1e-3
+
+    def test_input_from_a_finished_tape_reads_as_a_leaf(self):
+        rng = np.random.default_rng(16)
+        x = t64(rng.standard_normal((3, 4)))
+        with Tape() as tape:
+            y = T.scale(x, 2.0)  # recorded: y keeps that tape and its node id
+            loss = T.sum_all(y)
+        backward(tape, loss)
+        y.requires_grad = True
+        w = rng.standard_normal((4, 2))
+        recorded = finite_difference_check(T.matmul, [y, t64(w)])
+        leaf = t64(y.data.copy())
+        fresh = finite_difference_check(T.matmul, [leaf, t64(w)])
+        assert recorded == fresh > 0
+        np.testing.assert_array_equal(y.grad, leaf.grad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gradient_fails(self, bad):

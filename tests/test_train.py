@@ -402,6 +402,13 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert time.perf_counter() - start < 0.5
 
+    def test_model_config_above_size_limit(self, tmp_path, edit_checkpoint_meta):
+        _, _, path = self.roundtrip(tmp_path)
+        edit_checkpoint_meta(path, lambda m: {**m, "model_config": {**m["model_config"],
+                                                                    "hidden_dim": 100000}})
+        with pytest.raises(ConfigError, match="bad model_config: .*above the limit"):
+            load_checkpoint(path)
+
     def test_model_config_with_unknown_key(self, tmp_path, edit_checkpoint_meta):
         _, _, path = self.roundtrip(tmp_path)
         edit_checkpoint_meta(path, lambda m: {**m, "model_config": {**m["model_config"], "depth": 3}})
