@@ -120,7 +120,17 @@ def read_spec_file(path) -> SyntheticSpec:
 # subcommands
 
 
+def _say(text):
+    """print(text), escaping what stdout cannot encode: a finished command's
+    message (eval's summary has a '±') must not turn its success into exit 1."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def cmd_train(args):
+    out_dir = Path(args.out_checkpoint).parent
+    if not out_dir.is_dir():  # found before training, not when saving after it
+        raise ConfigError(f"--out-checkpoint {args.out_checkpoint}: no directory {out_dir}")
     train_config, overrides = parse_config(args.config)
     entries = load_manifest(args.manifest)
     train_entries = [e for e in entries if e.split == "train"]
@@ -131,15 +141,16 @@ def cmd_train(args):
     model_config = model_config_from_train(train_config, input_dim, overrides)
     ckpt, _ = train(entries, model_config, train_config, log_path=args.log)
     save_checkpoint(args.out_checkpoint, ckpt)
-    print(f"checkpoint written to {args.out_checkpoint}")
+    _say(f"checkpoint written to {args.out_checkpoint}")
     return 0
 
 
 def cmd_eval(args):
     ckpt = load_checkpoint(args.checkpoint)
     result = evaluate(ckpt, args.manifest, args.split)
-    Path(args.report).write_text(M.format_report(result.reports[-1], result.aggregates[-1]))
-    print(M.summary_line(result.aggregates[-1]))
+    Path(args.report).write_text(M.format_report(result.reports[-1], result.aggregates[-1]),
+                                 encoding="utf-8")
+    _say(M.summary_line(result.aggregates[-1]))
     return 0
 
 
@@ -153,14 +164,14 @@ def cmd_predict(args):
         for s, probs in enumerate(preds.probs):
             out = stem.with_name(f"{stem.stem}.stage{s}.txt")
             np.savetxt(out, probs.data, fmt="%.6f")
-    print(f"predictions written to {args.out}")
+    _say(f"predictions written to {args.out}")
     return 0
 
 
 def cmd_synth(args):
     if args.emit_default_spec:
         write_spec_file(args.emit_default_spec, SyntheticSpec())
-        print(f"default spec written to {args.emit_default_spec}")
+        _say(f"default spec written to {args.emit_default_spec}")
         return 0
     if not args.spec or not args.out_dir or args.videos < 1:
         raise ConfigError("synth requires --spec, --out-dir and --videos >= 1")
@@ -183,7 +194,7 @@ def cmd_synth(args):
         split = "train" if i < n_train else "test"
         entries.append(ManifestEntry(split=split, feature_path=fpath, annotation_path=apath))
     write_manifest(out_dir / "manifest.tsv", entries)
-    print(f"wrote {args.videos} videos and manifest to {out_dir}")
+    _say(f"wrote {args.videos} videos and manifest to {out_dir}")
     return 0
 
 

@@ -329,8 +329,13 @@ class SyntheticSpec:
             raise ParameterError(f"separation must be finite, got {self.separation}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        for name in ("fps", "feature_dim", "centroid_seed"):
+            if type(getattr(self, name)) is not int:
+                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.fps < 1:
             raise ParameterError(f"fps must be >= 1, got {self.fps}")
+        if self.centroid_seed < 0:  # numpy's generators take only nonnegative seeds
+            raise ParameterError(f"centroid_seed must be >= 0, got {self.centroid_seed}")
         if self.feature_dim < len(self.durations):
             raise ParameterError("feature_dim must be >= number of phases for distinct centroids")
         if self.feature_dim * self.num_phases > SYNTHETIC_MAX_VALUES:

@@ -5,8 +5,12 @@ differences on random 64-bit inputs and returns the max relative error.
 The suite also checks a tiny end-to-end model (2 encoder blocks, 1 decoder)
 through the full combined loss.
 
-Each check builds a function and its inputs; `run_suite` hands them to the
-finite-difference harness. `corrupt=<op>` deliberately breaks the backward of
+`CHECKS` is the one table of checks, in run order: each row pairs a check
+name with a builder of a function and its inputs, most through `_plain`
+(standard-normal float64 inputs of the listed shapes). `OPS`, the op names
+the tape records, is every row but the three composite checks, so a new op
+needs one row. `run_suite` hands each function and its inputs to
+`finite_difference_check`. `corrupt=<op>` deliberately breaks the backward of
 every tape node recorded under that op name (gradients scaled by 1.5) after
 the function's forward and before the backward sweep; it is the negative
 control used by the CLI and tests.
@@ -14,44 +18,72 @@ control used by the CLI and tests.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import model as mdl
 from . import tensor as T
 from .errors import ParameterError
 from .model import ModelConfig, cross_entropy_loss, init_params, model_forward, smoothing_loss, total_loss
-from .tensor import Tensor, finite_difference_check
+from .tensor import Tensor
 
 THRESHOLD = 1e-3
+# the central difference's step in each coordinate; the relu-kink margins of
+# `_check_relu` (0.05) and `_check_end_to_end` (1e-3) must stay well above it
+FD_STEP = 1e-4
 
-# the op names tape nodes are recorded under; each has a check of its own name
-OPS = ("matmul", "add", "add_row", "mul", "scale", "relu", "sum_all", "concat_cols",
-       "softmax_rows", "dropout", "dilated_conv1d", "chunked_attention",
-       "cross_entropy_loss", "smoothing_loss")
+
+def finite_difference_check(fn, inputs, seed=0):
+    """Max relative error of analytic vs central-difference gradients.
+
+    `fn(*inputs)` must be a deterministic tensor function; the output is
+    reduced to a scalar through a random fixed projection. Inputs should be
+    64-bit tensors with requires_grad set on every argument under test.
+    Relative error is |a - b| / max(|a|, |b|, 1e-8), maximized over all
+    coordinates of all checked inputs; a coordinate whose error is not
+    finite (a NaN or infinite gradient) counts as an infinite error.
+    """
+    rng = np.random.default_rng(seed)
+    for t in inputs:
+        t.zero_grad()
+
+    with T.Tape() as tape:
+        out = fn(*inputs)
+        proj = rng.standard_normal(out.data.shape)
+        loss = T.sum_all(T.mul(out, Tensor(proj.astype(out.data.dtype, copy=False))))
+    T.backward(tape, loss)
+
+    def scalar_eval():
+        return float((proj * fn(*inputs).data).sum())
+
+    worst = 0.0
+    for t in inputs:
+        if not t.requires_grad:
+            continue
+        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
+        flat = t.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + FD_STEP
+            f_plus = scalar_eval()
+            flat[i] = orig - FD_STEP
+            f_minus = scalar_eval()
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
+            a = float(analytic.reshape(-1)[i])
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            worst = max(worst, err if math.isfinite(err) else math.inf)
+    return worst
 
 
 def _t(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
-def _check_matmul(rng, seed):
-    return T.matmul, [_t(rng, 3, 4), _t(rng, 4, 2)]
-
-
-def _check_add(rng, seed):
-    return T.add, [_t(rng, 3, 4), _t(rng, 3, 4)]
-
-
-def _check_add_row(rng, seed):
-    return T.add_row, [_t(rng, 5, 3), _t(rng, 3)]
-
-
-def _check_mul(rng, seed):
-    return T.mul, [_t(rng, 4, 3), _t(rng, 4, 3)]
-
-
-def _check_scale(rng, seed):
-    return lambda x: T.scale(x, -0.7), [_t(rng, 4, 2)]
+def _plain(fn, *shapes):
+    """A check of fn on standard-normal inputs of these shapes, drawn in order."""
+    return lambda rng, seed: (fn, [_t(rng, *shape) for shape in shapes])
 
 
 def _check_relu(rng, seed):
@@ -61,42 +93,10 @@ def _check_relu(rng, seed):
     return T.relu, [x]
 
 
-def _check_sum_all(rng, seed):
-    return T.sum_all, [_t(rng, 6, 2)]
-
-
-def _check_concat_cols(rng, seed):
-    return lambda a, b, c: T.concat_cols([a, b, c]), [_t(rng, 4, 2), _t(rng, 4, 3), _t(rng, 4, 1)]
-
-
-def _check_softmax_rows(rng, seed):
-    return T.softmax_rows, [_t(rng, 5, 4)]
-
-
 def _check_dropout(rng, seed):
     # a fresh generator per call: the same mask per seed on every evaluation
     fn = lambda x: T.dropout(x, 0.4, rng=np.random.default_rng(seed), training=True)
     return fn, [_t(rng, 6, 5)]
-
-
-def _check_dilated_conv1d(rng, seed):
-    fn = lambda x, k: T.dilated_conv1d(x, k, 4)
-    return fn, [_t(rng, 16, 3), _t(rng, 3, 3, 2)]
-
-
-def _check_chunked_attention(rng, seed):
-    fn = lambda q, k, v: T.chunked_attention(q, k, v, 4)
-    return fn, [_t(rng, 9, 4), _t(rng, 9, 4), _t(rng, 9, 4)]
-
-
-def _check_self_attention(rng, seed):
-    fn = lambda f, wq, wk, wv, wo: mdl.cross_attention(f, f, 3, wq, wk, wv, wo)
-    return fn, [_t(rng, 7, 4)] + [_t(rng, 4, 4) for _ in range(4)]
-
-
-def _check_cross_attention(rng, seed):
-    fn = lambda u, f, wq, wk, wv, wo: mdl.cross_attention(u, f, 3, wq, wk, wv, wo)
-    return fn, [_t(rng, 7, 4), _t(rng, 7, 4)] + [_t(rng, 4, 4) for _ in range(4)]
 
 
 def _check_cross_entropy(rng, seed):
@@ -114,14 +114,6 @@ def _check_smoothing_loss(rng, seed):
     return lambda t: smoothing_loss(t, ref, 4.0), [z]
 
 
-def _tiny_config():
-    # smooth_weight 0: the smoothing term's declared derivative stops at the
-    # previous frame, so its finite-difference check runs separately with a
-    # constant reference; the end-to-end check exercises the CE path
-    return ModelConfig(num_phases=3, input_dim=5, hidden_dim=8, num_layers=2,
-                       num_decoders=1, dropout_rate=0.0, smooth_weight=0.0)
-
-
 class _ReluMarginTape(T.Tape):
     """A tape that notes the smallest |relu input| among the nodes it records."""
 
@@ -136,64 +128,62 @@ class _ReluMarginTape(T.Tape):
         return output
 
 
-def _relu_margin(fn):
-    """Smallest |relu input| recorded on a tape while evaluating fn()."""
-    with _ReluMarginTape() as tape:
-        fn()
-    return tape.margin
-
-
 def _check_end_to_end(rng, seed):
-    config = _tiny_config()
+    # smooth_weight 0: the smoothing term's declared derivative stops at the
+    # previous frame, so its finite-difference check runs separately with a
+    # constant reference; the end-to-end check exercises the CE path
+    config = ModelConfig(num_phases=3, input_dim=5, hidden_dim=8, num_layers=2,
+                         num_decoders=1, dropout_rate=0.0, smooth_weight=0.0)
     n = 12
 
-    def draw(attempt):
+    # finite differences are only valid away from relu kinks: re-draw until
+    # every pre-activation clears the perturbation radius comfortably
+    for attempt in range(20):
         params = init_params(config, seed * 100 + attempt)
         for p in params.values():
             p.data = p.data.astype(np.float64)
         labels = rng.integers(0, config.num_phases, size=n)
         E = _t(rng, n, config.input_dim)
-        return params, labels, E
-
-    def make_fn(params, labels):
-        names = list(params.keys())
 
         def fn(e, *param_values):
-            pdict = dict(zip(names, param_values))
-            preds = model_forward(e, pdict, config, training=False)
+            preds = model_forward(e, dict(zip(params, param_values)), config, training=False)
             return total_loss(preds, labels, config)
 
-        return fn
-
-    # finite differences are only valid away from relu kinks: re-draw until
-    # every pre-activation clears the perturbation radius comfortably
-    for attempt in range(20):
-        params, labels, E = draw(attempt)
-        fn = make_fn(params, labels)
-        if _relu_margin(lambda: fn(E, *params.values())) > 1e-3:
+        with _ReluMarginTape() as tape:
+            fn(E, *params.values())
+        if tape.margin > 1e-3:
             break
     return fn, [E] + list(params.values())
 
 
+# check name -> builder(rng, seed) returning (fn, inputs); run in this order
 CHECKS = {
-    "matmul": _check_matmul,
-    "add": _check_add,
-    "add_row": _check_add_row,
-    "mul": _check_mul,
-    "scale": _check_scale,
+    "matmul": _plain(T.matmul, (3, 4), (4, 2)),
+    "add": _plain(T.add, (3, 4), (3, 4)),
+    "add_row": _plain(T.add_row, (5, 3), (3,)),
+    "mul": _plain(T.mul, (4, 3), (4, 3)),
+    "scale": _plain(lambda x: T.scale(x, -0.7), (4, 2)),
     "relu": _check_relu,
-    "sum_all": _check_sum_all,
-    "concat_cols": _check_concat_cols,
-    "softmax_rows": _check_softmax_rows,
+    "sum_all": _plain(T.sum_all, (6, 2)),
+    "concat_cols": _plain(lambda a, b, c: T.concat_cols([a, b, c]), (4, 2), (4, 3), (4, 1)),
+    "softmax_rows": _plain(T.softmax_rows, (5, 4)),
     "dropout": _check_dropout,
-    "dilated_conv1d": _check_dilated_conv1d,
-    "chunked_attention": _check_chunked_attention,
-    "self_attention": _check_self_attention,
-    "cross_attention": _check_cross_attention,
+    "dilated_conv1d": _plain(lambda x, k: T.dilated_conv1d(x, k, 4), (16, 3), (3, 3, 2)),
+    "chunked_attention": _plain(lambda q, k, v: T.chunked_attention(q, k, v, 4),
+                                (9, 4), (9, 4), (9, 4)),
+    "self_attention": _plain(lambda f, *w: mdl.cross_attention(f, f, 3, *w),
+                             (7, 4), (4, 4), (4, 4), (4, 4), (4, 4)),
+    "cross_attention": _plain(lambda u, f, *w: mdl.cross_attention(u, f, 3, *w),
+                              (7, 4), (7, 4), (4, 4), (4, 4), (4, 4), (4, 4)),
     "cross_entropy_loss": _check_cross_entropy,
     "smoothing_loss": _check_smoothing_loss,
     "end_to_end": _check_end_to_end,
 }
+
+# the op names tape nodes are recorded under; each has a check of its own
+# name, and the other checks compose several ops
+OPS = tuple(name for name in CHECKS
+            if name not in ("self_attention", "cross_attention", "end_to_end"))
 
 
 def _corrupting(fn, op):

@@ -2,8 +2,7 @@
 
 Only the operations the segmentation model actually needs are implemented.
 Shapes are explicit (no broadcasting), buffers are plain numpy arrays, and
-compute is 32-bit by default; float64 inputs (gradient checking) stay 64-bit
-through every op.
+compute is 32-bit by default; float64 inputs stay 64-bit through every op.
 
 A :class:`Tape` records every differentiable op executed inside its context
 in execution order, which is automatically a topological order; `backward`
@@ -428,52 +427,3 @@ def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
         return rows(dq), rows(dk), rows(dv)
 
     return record("chunked_attention", [q, k, v], Tensor(rows(out)), bwd)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-FD_STEP = 1e-4  # the central difference's step in each coordinate
-
-
-def finite_difference_check(fn, inputs, seed=0):
-    """Max relative error of analytic vs central-difference gradients.
-
-    `fn(*inputs)` must be a deterministic tensor function; the output is
-    reduced to a scalar through a random fixed projection. Inputs should be
-    64-bit tensors with requires_grad set on every argument under test.
-    Relative error is |a - b| / max(|a|, |b|, 1e-8), maximized over all
-    coordinates of all checked inputs; a coordinate whose error is not
-    finite (a NaN or infinite gradient) counts as an infinite error.
-    """
-    rng = np.random.default_rng(seed)
-    for t in inputs:
-        t.zero_grad()
-
-    with Tape() as tape:
-        out = fn(*inputs)
-        proj = rng.standard_normal(out.data.shape)
-        loss = sum_all(mul(out, Tensor(proj.astype(out.data.dtype, copy=False))))
-    backward(tape, loss)
-
-    def scalar_eval():
-        return float((proj * fn(*inputs).data).sum())
-
-    worst = 0.0
-    for t in inputs:
-        if not t.requires_grad:
-            continue
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + FD_STEP
-            f_plus = scalar_eval()
-            flat[i] = orig - FD_STEP
-            f_minus = scalar_eval()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
-            a = float(analytic.reshape(-1)[i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err if math.isfinite(err) else math.inf)
-    return worst

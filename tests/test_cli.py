@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vitals
 import vitals.cli
 import vitals.data
 import vitals.train
@@ -279,6 +285,42 @@ class TestSynth:
 
 
 class TestPipeline:
+    def test_missing_checkpoint_directory_fails_before_training(self, tmp_path, dataset,
+                                                               capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(vitals.cli, "load_manifest", lambda *a: calls.append("load"))
+        monkeypatch.setattr(vitals.cli, "train", lambda *a, **k: calls.append("train"))
+        ckpt = tmp_path / "nodir" / "c.vtck"
+        assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
+                   str(write_config(tmp_path / "t.conf")), "--out-checkpoint", str(ckpt)) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out-checkpoint {ckpt}: ")
+
+    def test_eval_succeeds_on_an_ascii_stdout(self, tmp_path, dataset):
+        # the summary line's '±' cannot be encoded; the finished eval must exit 0
+        manifest = str(dataset / "manifest.tsv")
+        ckpt = tmp_path / "model.vtck"
+        assert run("train", "--manifest", manifest, "--config",
+                   str(write_config(tmp_path / "t.conf", epochs=1)),
+                   "--out-checkpoint", str(ckpt)) == 0
+        src = str(Path(vitals.__file__).parent.parent)
+        outputs = {}
+        for encoding in ("utf-8", "ascii"):
+            report = tmp_path / f"report-{encoding}.txt"
+            env = {**os.environ, "PYTHONIOENCODING": encoding,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run([sys.executable, "-m", "vitals.cli", "eval", "--checkpoint",
+                                   str(ckpt), "--manifest", manifest, "--split", "test",
+                                   "--report", str(report)], env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == b""
+            outputs[encoding] = proc.stdout, report.read_bytes()
+        (utf8_out, utf8_report), (ascii_out, ascii_report) = outputs["utf-8"], outputs["ascii"]
+        assert ascii_report == utf8_report
+        assert "±".encode() in utf8_out
+        assert ascii_out == utf8_out.replace("±".encode(), b"\\xb1")
+
     def test_train_eval_predict(self, tmp_path, dataset, capsys):
         manifest = str(dataset / "manifest.tsv")
         config = write_config(tmp_path / "train.conf")

@@ -279,6 +279,15 @@ class TestSynthetic:
             self.small_spec(fps=fps)
 
     @pytest.mark.parametrize("field,value", [
+        ("fps", 2.5), ("feature_dim", 16.0), ("centroid_seed", -1), ("centroid_seed", 1.5),
+    ])
+    def test_integer_fields_must_be_integers(self, field, value):
+        # before, fps=2.5 ended in a struct.error from save_features, and the
+        # others in a TypeError or ValueError from phase_centroids
+        with pytest.raises(ParameterError, match=field):
+            self.small_spec(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
         ("separation", float("nan")), ("separation", float("inf")),
         ("noise_std", float("nan")), ("noise_std", float("inf")), ("noise_std", -0.1),
     ])

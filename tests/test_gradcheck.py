@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from vitals import gradcheck as gc
@@ -61,3 +62,36 @@ def test_cli_fails_on_a_nan_error(capsys, monkeypatch):
     monkeypatch.setattr(gc, "run_suite", lambda seeds, corrupt: {"relu": float("nan")})
     assert main(["gradcheck", "--seeds", "1"]) == 1
     assert capsys.readouterr().out == "relu: max_rel_err=nan FAIL\n"
+
+
+def _recorded_ops(fn, *args):
+    """The op names of the tape nodes that fn(*args) records."""
+    with T.Tape() as tape:
+        fn(*args)
+    return {node.op for node in tape.nodes}
+
+
+def test_every_op_of_a_training_step_has_a_check():
+    # an op added to the model, or a fused one, needs its own gradient check
+    config = mdl.ModelConfig(num_phases=3, input_dim=5, hidden_dim=8, num_layers=2,
+                             num_decoders=1, dropout_rate=0.3)
+    params = mdl.init_params(config, 0)
+    rng = np.random.default_rng(0)
+    E = T.Tensor(rng.standard_normal((12, 5)).astype(np.float32))
+    labels = rng.integers(0, 3, size=12)
+
+    def step():
+        preds = mdl.model_forward(E, params, config, training=True, rng=rng)
+        loss = mdl.total_loss(preds, labels, config)
+        # the projection finite_difference_check puts on every function's output
+        return T.sum_all(T.mul(loss, T.Tensor(np.ones_like(loss.data))))
+
+    ops = _recorded_ops(step)
+    assert "dropout" in ops and "smoothing_loss" in ops
+    assert ops <= set(gc.OPS), ops - set(gc.OPS)
+
+
+@pytest.mark.parametrize("op", gc.OPS)
+def test_each_op_check_records_its_op(op):
+    fn, inputs = gc.CHECKS[op](np.random.default_rng(0), 0)
+    assert op in _recorded_ops(fn, *inputs)

@@ -8,8 +8,9 @@ import pytest
 
 from vitals import tensor as T
 from vitals.errors import EmptySequenceError, ParameterError, ShapeError
+from vitals.gradcheck import finite_difference_check
 from vitals.model import ModelConfig, init_params, model_forward, smoothing_loss, total_loss
-from vitals.tensor import Tape, Tensor, backward, finite_difference_check
+from vitals.tensor import Tape, Tensor, backward
 
 
 def t64(arr, grad=True):
