@@ -127,10 +127,16 @@ def _say(text):
     print(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
+def _require_out_dir(flag, path):
+    """Refuse an output path whose directory is missing: found before the
+    command does its work, not when it writes the result."""
+    out_dir = Path(path).parent
+    if not out_dir.is_dir():
+        raise ConfigError(f"{flag} {path}: no directory {out_dir}")
+
+
 def cmd_train(args):
-    out_dir = Path(args.out_checkpoint).parent
-    if not out_dir.is_dir():  # found before training, not when saving after it
-        raise ConfigError(f"--out-checkpoint {args.out_checkpoint}: no directory {out_dir}")
+    _require_out_dir("--out-checkpoint", args.out_checkpoint)
     train_config, overrides = parse_config(args.config)
     entries = load_manifest(args.manifest)
     train_entries = [e for e in entries if e.split == "train"]
@@ -146,6 +152,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    _require_out_dir("--report", args.report)
     ckpt = load_checkpoint(args.checkpoint)
     result = evaluate(ckpt, args.manifest, args.split)
     Path(args.report).write_text(M.format_report(result.reports[-1], result.aggregates[-1]),
@@ -155,6 +162,7 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
+    _require_out_dir("--out", args.out)  # the stage files go beside it
     ckpt = load_checkpoint(args.checkpoint)
     seq = load_features(args.features)
     preds = infer(ckpt, seq.data, args.features)

@@ -169,8 +169,9 @@ CHECKS = {
     "softmax_rows": _plain(T.softmax_rows, (5, 4)),
     "dropout": _check_dropout,
     "dilated_conv1d": _plain(lambda x, k: T.dilated_conv1d(x, k, 4), (16, 3), (3, 3, 2)),
-    "chunked_attention": _plain(lambda q, k, v: T.chunked_attention(q, k, v, 4),
-                                (9, 4), (9, 4), (9, 4)),
+    # n=9 pads the last window-4 chunk; u and f are drawn apart
+    "chunked_attention": _plain(lambda u, f, *w: T.chunked_attention(u, f, 4, *w),
+                                (9, 4), (9, 4), (4, 4), (4, 4), (4, 4)),
     "self_attention": _plain(lambda f, *w: mdl.cross_attention(f, f, 3, *w),
                              (7, 4), (4, 4), (4, 4), (4, 4), (4, 4)),
     "cross_attention": _plain(lambda u, f, *w: mdl.cross_attention(u, f, 3, *w),

@@ -143,12 +143,9 @@ def init_params(config: ModelConfig, seed=0):
 
 
 def cross_attention(u: Tensor, f: Tensor, window: int, wq, wk, wv, wo) -> Tensor:
-    """Chunked attention where the query comes from u, keys/values from f;
-    u = f is self-attention."""
-    q = T.matmul(u, wq)
-    k = T.matmul(f, wk)
-    v = T.matmul(f, wv)
-    return T.matmul(T.chunked_attention(q, k, v, window), wo)
+    """Chunked attention where the query comes from u, keys/values from f,
+    each projected inside the attention op; u = f is self-attention."""
+    return T.matmul(T.chunked_attention(u, f, window, wq, wk, wv), wo)
 
 
 def _block(x, query, params, prefix, size, config, training, rng):

@@ -358,25 +358,31 @@ def _chunk_weights(qs, ks, buf, inv_scale, mask, row_max=None, row_sum=None):
     return a, row_max, row_sum
 
 
-def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
-    """Scaled dot-product attention inside consecutive chunks of `window` rows.
+def chunked_attention(u: Tensor, f: Tensor, window: int, wq: Tensor, wk: Tensor,
+                      wv: Tensor) -> Tensor:
+    """Scaled dot-product attention of q = u @ wq over k = f @ wk and
+    v = f @ wv, inside consecutive chunks of `window` rows.
 
     The last chunk may be shorter; no attention crosses chunk boundaries.
-    q, k and v are laid out as whole w x h chunks: views when the window
-    divides n, else one copy each, zero-padded to whole chunks. Chunks are
-    computed a group at a time, at most `_GROUP_SCORES` scores per group,
-    through one reused buffer. Besides the chunked q, k and v the node keeps
-    only each row's softmax max and sum, and backward rebuilds each group's
-    weights from them, bit for bit. When every chunk fits in one group, the
-    node keeps that group's weights and backward recomputes nothing.
+    Each projection is computed straight into a buffer of whole w x h
+    chunks whose rows past n are zeroed. Chunks are computed a group at a
+    time, at most `_GROUP_SCORES` scores per group, through one reused
+    buffer. The node keeps u, f, the three maps and each row's softmax max
+    and sum, not the projections: backward recomputes them the same way,
+    bit for bit, and rebuilds each group's weights from the max and sum.
+    When every chunk fits in one group, the node keeps that group's weights
+    and backward rebuilds none.
     """
-    if q.data.ndim != 2 or q.data.shape[0] == 0:
+    pairs = [(src.data, wt.data) for src, wt in ((u, wq), (f, wk), (f, wv))]  # q, k, v
+    for src, wt in pairs:
+        if src.ndim != 2 or wt.ndim != 2 or src.shape[1] != wt.shape[0]:
+            raise ShapeError(f"matmul shape mismatch: {src.shape} x {wt.shape}")
+    if len(u.data) == 0:
         raise EmptySequenceError("chunked_attention needs a nonempty sequence")
-    if not (q.data.shape == k.data.shape == v.data.shape):
-        raise ShapeError(
-            f"q/k/v shapes differ: {q.data.shape}, {k.data.shape}, {v.data.shape}"
-        )
-    n, h = q.data.shape
+    shapes = [(len(src), wt.shape[1]) for src, wt in pairs]
+    if len(set(shapes)) > 1:
+        raise ShapeError("q/k/v shapes differ: " + ", ".join(map(str, shapes)))
+    n, h = shapes[0]
     if h == 0:
         raise ShapeError("chunked_attention needs q/k/v of nonzero width")
     w = min(_positive_int("window", window), n)
@@ -387,17 +393,24 @@ def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     groups = [(slice(c0, min(c0 + per_group, nc)), rem if c0 + per_group >= nc else 0)
               for c0 in range(0, nc, per_group)]
     inv_scale = 1.0 / math.sqrt(h)
-    dtype = np.result_type(q.data, k.data, v.data)
+    (ud, wqd), (fd, wkd), (_, wvd) = pairs
+    dtype = np.result_type(ud, fd, wqd, wkd, wvd)
 
-    def chunks(a):
-        if rem:
-            a = np.concatenate([a, np.zeros((nc * w - n, h), a.dtype)])
-        return a.reshape(nc, w, h)
+    def chunks(fill, dtype):
+        """An nc x w x h buffer: its first n rows as `fill` writes them, then zeros."""
+        buf = np.empty((nc * w, h), dtype)
+        fill(buf[:n])
+        buf[n:] = 0.0
+        return buf.reshape(nc, w, h)
+
+    def projections():
+        return (chunks(lambda r: np.matmul(src, wt, out=r), np.result_type(src, wt))
+                for src, wt in pairs)
 
     def rows(c):
         return c.reshape(nc * w, h)[:n]
 
-    qs, ks, vs = chunks(q.data), chunks(k.data), chunks(v.data)
+    qs, ks, vs = projections()
     buf = np.empty((per_group, w, w), dtype)
     out = np.empty((nc, w, h), dtype)
     stats = []  # per group: each row's softmax max and sum
@@ -408,7 +421,8 @@ def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     weights = buf if len(groups) == 1 else None
 
     def bwd(dout):
-        do = chunks(dout)
+        qs, ks, vs = projections()
+        do = chunks(lambda r: np.copyto(r, dout), dout.dtype)
         dq, dk, dv = (np.empty((nc, w, h), dtype) for _ in range(3))
         ds_buf = np.empty((per_group, w, w), dtype)
         a_buf = None if weights is not None else np.empty_like(ds_buf)
@@ -422,8 +436,12 @@ def chunked_attention(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
             ds *= a
             np.matmul(ds, ks[g], out=dq[g])
             np.matmul(ds.transpose(0, 2, 1), qs[g], out=dk[g])
+        del qs, ks, vs, do  # freed before the projection gradients
         dq *= inv_scale
         dk *= inv_scale
-        return rows(dq), rows(dk), rows(dv)
+        dq, dk, dv = rows(dq), rows(dk), rows(dv)
+        # through the projections, v's first, then k's, then q's: the order in
+        # which separate matmul nodes would sum their gradients into f and u
+        return (dv @ wvd.T, fd.T @ dv, dk @ wkd.T, fd.T @ dk, dq @ wqd.T, ud.T @ dq)
 
-    return record("chunked_attention", [q, k, v], Tensor(rows(out)), bwd)
+    return record("chunked_attention", [f, wv, f, wk, u, wq], Tensor(rows(out)), bwd)

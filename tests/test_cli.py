@@ -297,6 +297,20 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --out-checkpoint {ckpt}: ")
 
+    @pytest.mark.parametrize("command,inputs,flag", [
+        ("eval", ["--manifest", "m.tsv", "--split", "test"], "--report"),
+        ("predict", ["--features", "f.vtaf", "--dump-stages"], "--out"),
+    ], ids=["eval", "predict"])
+    def test_missing_output_directory_fails_before_loading(self, tmp_path, command, inputs,
+                                                           flag, capsys, monkeypatch):
+        calls = []
+        for name in ("load_checkpoint", "load_features", "evaluate", "infer"):
+            monkeypatch.setattr(vitals.cli, name, lambda *a, name=name: calls.append(name))
+        out = tmp_path / "nodir" / "o.txt"
+        assert run(command, "--checkpoint", "c.vtck", *inputs, flag, str(out)) == 1
+        assert calls == []
+        assert capsys.readouterr().err.startswith(f"error: {flag} {out}: no directory ")
+
     def test_eval_succeeds_on_an_ascii_stdout(self, tmp_path, dataset):
         # the summary line's '±' cannot be encoded; the finished eval must exit 0
         manifest = str(dataset / "manifest.tsv")

@@ -476,8 +476,11 @@ class TestStepMemory:
             assert len(refs["dilated_conv1d"]) == len(refs["dropout"]) == len(wo_outputs) == 4
             for ref in refs["dilated_conv1d"] + refs["dropout"] + wo_outputs:
                 assert ref() is None
-            # arrays a backward reads stay: relu outputs feed the q/k/v matmuls,
-            # attention outputs the wo matmul
+            # arrays a backward reads stay: relu outputs feed the attention node,
+            # which projects them again in backward, and attention outputs the
+            # wo matmul; no q/k/v matmul node sits between the two
+            assert [ops[i + 1] for i, op in enumerate(ops) if op == "relu"] == \
+                ["chunked_attention"] * 4
             assert all(ref() is not None for ref in refs["relu"] + refs["chunked_attention"])
             backward(tape, loss)
         finally:
@@ -506,10 +509,11 @@ class TestStepMemory:
     def test_mid_config_step_peak(self):
         """tracemalloc peak of one train step at n=1200, d=h=64, L=10, N=3.
 
-        Measured on numpy 2.4: 110.3 MB; 164.8 MB when every attention node
-        kept its n x w weights for backward, and 271.3 MB when every node also
+        Measured on numpy 2.4: 67.8 MB; 107.4 MB when every block's q, k and
+        v projections were held for backward, 164.8 MB when every attention
+        node also kept its n x w weights, and 271.3 MB when every node also
         pinned its output and inputs and conv and dropout kept copies. The
-        bound sits between the first two, so a return of either fails.
+        bound sits between the first two, so a return of any fails.
         """
         config = ModelConfig(num_phases=7, input_dim=64, hidden_dim=64, num_layers=10,
                              num_decoders=3)
@@ -527,33 +531,37 @@ class TestStepMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 130e6, f"step peak {peak / 1e6:.1f} MB"
+        assert peak < 90e6, f"step peak {peak / 1e6:.1f} MB"
+
+
+def attend(u, f, window, wq=None, wk=None, wv=None):
+    """Chunked attention of float32 arrays u and f; a map left out is the identity."""
+    eye = np.eye(u.shape[1], dtype=np.float32)
+    maps = [eye if m is None else m for m in (wq, wk, wv)]
+    return T.chunked_attention(Tensor(u), Tensor(f), window, *map(Tensor, maps))
 
 
 class TestChunkedAttention:
     def test_window_one_returns_values(self):
         rng = np.random.default_rng(7)
-        q = Tensor(rng.standard_normal((5, 4)).astype(np.float32))
-        k = Tensor(rng.standard_normal((5, 4)).astype(np.float32))
-        v = Tensor(rng.standard_normal((5, 4)).astype(np.float32))
-        out = T.chunked_attention(q, k, v, 1)
-        np.testing.assert_allclose(out.data, v.data, atol=1e-6)
+        u, f, wq, wk = (rng.standard_normal(s).astype(np.float32)
+                        for s in ((5, 4), (5, 4), (4, 4), (4, 4)))
+        out = attend(u, f, 1, wq, wk)
+        np.testing.assert_allclose(out.data, f, atol=1e-6)
 
     def test_uniform_weights_give_chunk_mean(self):
         rng = np.random.default_rng(8)
-        z = Tensor(np.zeros((6, 4), dtype=np.float32))
-        k = Tensor(rng.standard_normal((6, 4)).astype(np.float32))
-        v = Tensor(rng.standard_normal((6, 4)).astype(np.float32))
-        out = T.chunked_attention(z, k, v, 3)
+        u, f, wk = (rng.standard_normal(s).astype(np.float32) for s in ((6, 4), (6, 4), (4, 4)))
+        out = attend(u, f, 3, np.zeros((4, 4), np.float32), wk)  # q = 0
         for c in range(2):
-            mean = v.data[3 * c: 3 * c + 3].mean(axis=0)
+            mean = f[3 * c: 3 * c + 3].mean(axis=0)
             for t in range(3 * c, 3 * c + 3):
                 np.testing.assert_allclose(out.data[t], mean, atol=1e-6)
 
     def test_partial_last_chunk(self):
         rng = np.random.default_rng(9)
-        q, k, v = (Tensor(rng.standard_normal((7, 3)).astype(np.float32)) for _ in range(3))
-        out = T.chunked_attention(q, k, v, 4)
+        u, f = (rng.standard_normal((7, 3)).astype(np.float32) for _ in range(2))
+        out = attend(u, f, 4)
         assert out.data.shape == (7, 3)
         assert np.isfinite(out.data).all()
 
@@ -562,26 +570,26 @@ class TestChunkedAttention:
         base = rng.standard_normal((8, 3)).astype(np.float32)
         perturbed = base.copy()
         perturbed[6] += 5.0  # second chunk, window 4
-        out_a = T.chunked_attention(Tensor(base), Tensor(base), Tensor(base), 4)
-        out_b = T.chunked_attention(Tensor(perturbed), Tensor(perturbed), Tensor(perturbed), 4)
+        out_a = attend(base, base, 4)
+        out_b = attend(perturbed, perturbed, 4)
         np.testing.assert_array_equal(out_a.data[:4], out_b.data[:4])
         assert not np.array_equal(out_a.data[4:], out_b.data[4:])
 
     def test_empty_sequence(self):
-        z = Tensor(np.zeros((0, 2)))
+        z = np.zeros((0, 2), np.float32)
         with pytest.raises(EmptySequenceError):
-            T.chunked_attention(z, z, z, 2)
+            attend(z, z, 2)
 
     @pytest.mark.parametrize("window", [0, -3, 2.5, np.nan, "4"])
     def test_bad_window(self, window):
-        z = Tensor(np.zeros((5, 2)))
+        z = np.zeros((5, 2), np.float32)
         with pytest.raises(ParameterError, match="window must be a positive integer"):
-            T.chunked_attention(z, z, z, window)
+            attend(z, z, window)
 
     def test_zero_width(self):
-        z = Tensor(np.zeros((5, 0)))
+        z, w = np.zeros((5, 2), np.float32), np.zeros((2, 0), np.float32)
         with pytest.raises(ShapeError, match="nonzero width"):
-            T.chunked_attention(z, z, z, 2)
+            attend(z, z, 2, w, w, w)
 
     # up to (257, 16) every chunk fits in one group of 2^18 scores; (1536, 256),
     # (1536, 512) and (4096, 128) span several groups with no tail; (2100, 128)
@@ -593,23 +601,32 @@ class TestChunkedAttention:
                                           (1536, 256), (1536, 512), (4096, 128), (2100, 128),
                                           (1300, 512), (2500, 128), (1300, 256), (1100, 1024)])
     def test_bits_match_reference(self, n, window, dtype):
+        """The op's output and gradients, bit for bit, against the reference
+        attention of separately computed projections and each projection's
+        matmul gradients, listed as the op lists its inputs: f, wv, f, wk,
+        u, wq."""
         rng = np.random.default_rng(n * 1000 + window)
-        q, k, v, dout = (rng.standard_normal((n, 8)).astype(dtype) for _ in range(4))
+        u, f, dout = (rng.standard_normal((n, 8)).astype(dtype) for _ in range(3))
+        wq, wk, wv = (rng.standard_normal((8, 8)).astype(dtype) for _ in range(3))
+        out, (dq, dk, dv) = ref_chunked_attention(u @ wq, f @ wk, f @ wv, window, dout)
+        ref_grads = (dv @ wv.T, f.T @ dv, dk @ wk.T, f.T @ dk, dq @ wq.T, u.T @ dq)
         assert_same_bits(
-            op_and_grads(lambda a, b, c: T.chunked_attention(a, b, c, window), [q, k, v], dout),
-            ref_chunked_attention(q, k, v, window, dout))
+            op_and_grads(lambda *t: T.chunked_attention(t[0], t[1], window, *t[2:]),
+                         [u, f, wq, wk, wv], dout),
+            (out, ref_grads))
 
     @pytest.mark.parametrize("n,window,keeps_weights", [(1300, 512, False), (300, 64, True)])
     def test_node_holds_weights_only_within_one_group(self, n, window, keeps_weights):
         """The arrays a node's backward closure holds, walked one level deep as
-        perfbench's tape walk does: q, k and v zero-padded to whole chunks and
-        a softmax max and sum per padded row. Only a node whose chunks all fit
-        in one group also keeps their w x w weights."""
+        perfbench's tape walk does: u and f, the three h x h maps and a
+        softmax max and sum per padded row, and no projection: no other
+        array of n rows or of whole w x h chunks. Only a node whose chunks
+        all fit in one group also keeps their w x w weights."""
         h, nc = 8, -(-n // window)
-        leaves = [Tensor(np.ones((n, h), dtype=np.float32), requires_grad=True)
-                  for _ in range(3)]
+        u, f = (Tensor(np.full((n, h), c, np.float32), requires_grad=True) for c in (1, 2))
+        maps = [Tensor(np.eye(h, dtype=np.float32), requires_grad=True) for _ in range(3)]
         with Tape() as tape:
-            T.chunked_attention(*leaves, window)
+            T.chunked_attention(u, f, window, *maps)
         held = {}
 
         def walk(value):
@@ -622,9 +639,12 @@ class TestChunkedAttention:
 
         for cell in tape.nodes[-1].backward_fn.__closure__:
             walk(cell.cell_contents)
-        expected = 3 * nc * window * h + 2 * nc * window + keeps_weights * nc * window ** 2
+        assert any(a is u.data for a in held.values()) and any(a is f.data for a in held.values())
+        others = [a for a in held.values() if a is not u.data and a is not f.data]
+        assert not any(len(a) in (n, nc * window) or a.shape[-2:] == (window, h) for a in others)
+        expected = 2 * n * h + 3 * h * h + 2 * nc * window + keeps_weights * nc * window ** 2
         assert sum(a.nbytes for a in held.values()) == 4 * expected
-        assert any(a.shape[-2:] == (window, window) for a in held.values()) == keeps_weights
+        assert any(a.shape[-2:] == (window, window) for a in others) == keeps_weights
 
 
 class TestFiniteDifferenceOracle:
@@ -680,7 +700,7 @@ def test_no_nan_inf_after_ops():
     rng = np.random.default_rng(14)
     x = Tensor((rng.standard_normal((20, 6)) * 50).astype(np.float32))
     for out in (T.relu(x), T.softmax_rows(x),
-                T.chunked_attention(x, x, x, 8),
+                attend(x.data, x.data, 8),
                 T.dilated_conv1d(x, Tensor(rng.standard_normal((3, 6, 6)).astype(np.float32)), 3)):
         assert np.isfinite(out.data).all()
 
