@@ -199,6 +199,7 @@ def cmd_synth(args):
         apath = out_dir / f"{vid}.txt"
         save_features(fpath, features)
         write_annotations(apath, labels.labels)
+        del features, labels  # not held while the next video is drawn
         split = "train" if i < n_train else "test"
         entries.append(ManifestEntry(split=split, feature_path=fpath, annotation_path=apath))
     write_manifest(out_dir / "manifest.tsv", entries)

@@ -31,6 +31,10 @@ FEATURE_HEADER = struct.Struct("<4sIQII")
 DOWNSAMPLE_LIMIT = 15000
 # feature values one synthetic video may hold: 4 GiB of float32
 SYNTHETIC_MAX_VALUES = 2**30
+# bytes of payload a feature read takes from the file at a time
+_READ_BLOCK_BYTES = 2**20
+# bytes of float64 noise the generator draws at a time
+_NOISE_CHUNK_BYTES = 2**20
 
 
 @dataclass
@@ -117,21 +121,47 @@ def read_feature_header(f, path):
     return n, d, fps
 
 
+def read_feature_rows(f, path, n, d, rows=None):
+    """The float32 rows `rows` (strictly increasing frame indices; every frame
+    when None) of the n x d payload of `f`, an open feature file left at its
+    first payload byte by `read_feature_header`.
+
+    The payload is read a block of rows at a time, in file order, and each
+    block is checked for non-finite values before the next is read, so a bad
+    value in a frame that is not kept is still a CorruptionError. Kept rows go
+    straight into the result; with `rows` the blocks share one buffer.
+    """
+    block = max(1, _READ_BLOCK_BYTES // (4 * d))
+    out = np.empty((n if rows is None else len(rows), d), dtype="<f4")
+    buf = out if rows is None else np.empty((min(block, n), d), dtype="<f4")
+    lo = 0  # rows[lo:] lie at or after the current block
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        chunk = out[start:stop] if rows is None else buf[:stop - start]
+        got = f.readinto(chunk)
+        if got < chunk.nbytes:  # the file shrank after its size was checked
+            raise CorruptionError(f"{path}: payload truncated, expected "
+                                  f"{FEATURE_HEADER.size + n * d * 4} bytes",
+                                  offset=FEATURE_HEADER.size + 4 * (start * d + got // 4))
+        # min and max propagate NaN and +-inf without a block-sized temporary
+        if not (np.isfinite(chunk.min()) and np.isfinite(chunk.max())):
+            i = int(np.flatnonzero(~np.isfinite(chunk))[0])
+            first = start * d + i
+            raise CorruptionError(f"{path}: non-finite feature value {chunk.flat[i]} at frame "
+                                  f"{first // d}", offset=FEATURE_HEADER.size + 4 * first)
+        if rows is not None:
+            hi = lo + int(np.searchsorted(rows[lo:], stop))
+            # the indices lie in the block; mode="raise" would buffer the rows
+            np.take(chunk, rows[lo:hi] - start, axis=0, out=out[lo:hi], mode="clip")
+            lo = hi
+    return out
+
+
 def load_features(path) -> FeatureSequence:
     path = Path(path)
     with open(path, "rb") as f:
         n, d, fps = read_feature_header(f, path)
-        data = np.fromfile(f, dtype="<f4", count=n * d)
-    if data.size != n * d:  # the file shrank after its size was checked
-        raise CorruptionError(f"{path}: payload truncated, expected "
-                              f"{FEATURE_HEADER.size + n * d * 4} bytes",
-                              offset=FEATURE_HEADER.size + 4 * data.size)
-    data = data.reshape(n, d)
-    # min and max propagate NaN and +-inf without an n x d temporary
-    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
-        first = int(np.flatnonzero(~np.isfinite(data))[0])
-        raise CorruptionError(f"{path}: non-finite feature value {data.flat[first]} at frame "
-                              f"{first // d}", offset=FEATURE_HEADER.size + 4 * first)
+        data = read_feature_rows(f, path, n, d)
     return FeatureSequence(video_id=path.stem, data=data, fps=fps)
 
 
@@ -360,12 +390,20 @@ def phase_centroids(spec: SyntheticSpec):
 
 
 def _phase_block(rng, centroid, frames, spec):
-    """One phase's frames as float32: the centroid plus noise drawn in float64."""
-    if spec.noise_std > 0:
-        block = rng.normal(0.0, spec.noise_std, size=(frames, spec.feature_dim))
-        block += centroid  # in place: the same float64 sums as centroid + block
-        return block.astype(np.float32)
-    return np.broadcast_to(centroid, (frames, spec.feature_dim)).astype(np.float32)
+    """One phase's frames as float32: the centroid plus noise drawn in float64,
+    a chunk of rows at a time from one Generator stream, so only one chunk of
+    float64 is held beside the block."""
+    d = spec.feature_dim
+    block = np.empty((frames, d), dtype=np.float32)
+    if spec.noise_std == 0:
+        block[:] = centroid
+        return block
+    rows = max(1, _NOISE_CHUNK_BYTES // (8 * d))
+    for start in range(0, frames, rows):
+        noise = rng.normal(0.0, spec.noise_std, size=(min(rows, frames - start), d))
+        noise += centroid  # in place: the same float64 sums as centroid + noise
+        block[start:start + len(noise)] = noise  # the same cast as astype(np.float32)
+    return block
 
 
 def generate_synthetic_video(spec: SyntheticSpec, seed, video_id=None):
@@ -400,8 +438,14 @@ def generate_synthetic_video(spec: SyntheticSpec, seed, video_id=None):
                                  f"feature values, above the limit of {SYNTHETIC_MAX_VALUES}")
         counts.append(frames)
         blocks.append(_phase_block(rng, centroids[k], frames, spec))
-    features = FeatureSequence(video_id=video_id or f"synthetic-{seed}",
-                               data=np.concatenate(blocks), fps=spec.fps)
+    # each block is dropped once copied: np.empty's pages are touched only as
+    # they are filled, so the video and its blocks are never all resident at once
+    data = np.empty((sum(counts), spec.feature_dim), dtype=np.float32)
+    start = 0
+    for frames in counts:
+        data[start:start + frames] = blocks.pop(0)
+        start += frames
+    features = FeatureSequence(video_id=video_id or f"synthetic-{seed}", data=data, fps=spec.fps)
     return features, LabelSequence(labels=np.repeat(kept, counts), num_phases=spec.num_phases)
 
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import metrics as M
 from .data import (DOWNSAMPLE_LIMIT, class_weights, downsample_indices, load_features,
-                   load_manifest, parse_annotations, read_key_values)
+                   load_manifest, parse_annotations, read_feature_header, read_feature_rows,
+                   read_key_values)
 from .errors import (ConfigError, CorruptionError, DataError, FormatError, ParameterError,
                      ShapeError, TrainingError)
 from .model import (ModelConfig, StagePredictions, init_params, model_forward,
@@ -392,13 +393,20 @@ def _split_entries(entries, split):
 
 
 def _load_video(entry, num_phases, downsample_limit=DOWNSAMPLE_LIMIT):
-    seq = load_features(entry.feature_path)
-    lab = parse_annotations(entry.annotation_path, seq.n, num_phases)
-    features, labels = seq.data, lab.labels
-    if seq.n > downsample_limit:  # below the limit the indices are the identity
-        idx = downsample_indices(seq.n, downsample_limit)
-        features, labels = features[idx], labels[idx]
-    return _Video(video_id=seq.video_id, features=features, labels=labels)
+    """One video's features and labels, downsampled above the limit.
+
+    Above the limit the payload is read a block of rows at a time and only
+    the kept frames are held; at or below it `load_features` reads it whole.
+    """
+    path = Path(entry.feature_path)
+    with open(path, "rb") as f:
+        n, d, _ = read_feature_header(f, path)
+        idx = downsample_indices(n, downsample_limit) if n > downsample_limit else None
+        features = (load_features(path).data if idx is None
+                    else read_feature_rows(f, path, n, d, idx))
+    labels = parse_annotations(entry.annotation_path, n, num_phases).labels
+    return _Video(video_id=path.stem, features=features,
+                  labels=labels if idx is None else labels[idx])
 
 
 def load_videos(entries, split, num_phases, downsample_limit=DOWNSAMPLE_LIMIT):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -258,6 +259,19 @@ class TestSynth:
                    str(tmp_path / "out"), "--train-fraction", fraction) == 0
         assert [e.split for e in load_manifest(tmp_path / "out" / "manifest.tsv")] == ["train"]
 
+    def test_holds_one_video_at_a_time(self, tmp_path, traced_peak):
+        # two equal videos of 300 frames x 256 values; generating one holds
+        # its phase blocks and the video (2x), and the video before it is gone
+        spec = tmp_path / "spec.conf"
+        write_spec_file(spec, SyntheticSpec(durations=[(100 / 60, 0.0)] * 3, feature_dim=256))
+        out = tmp_path / "out"
+        _, peak = traced_peak(lambda: run("synth", "--spec", str(spec), "--videos", "2",
+                                          "--out-dir", str(out)))
+        payload = load_features(out / "video000.vtaf").data.nbytes
+        assert payload == 300 * 256 * 4
+        assert load_features(out / "video001.vtaf").n == 300
+        assert peak < 2.5 * payload  # 3x while video i stayed alive during video i+1
+
     def test_spec_file_roundtrip(self, tmp_path):
         spec = SyntheticSpec(durations=[(1.5, 0.2), (2.0, 0.0)], feature_dim=4,
                              separation=2.5, noise_std=0.1, skip_prob=[0.0, 0.25], fps=2)
@@ -421,6 +435,48 @@ class TestPipeline:
         bad.write_text("momentum = 0.9\n")
         assert run("train", "--manifest", str(dataset / "manifest.tsv"),
                    "--config", str(bad), "--out-checkpoint", str(tmp_path / "c.vtck")) == 1
+
+
+class TestBenchmarkTracer:
+    def test_traced_eval_downsamples(self, tmp_path):
+        """perfbench/child.py replaces the traced vitals functions with
+        wrappers of the same calling form (`load_features(path)`) and then
+        runs the CLI; an eval that downsamples a video must pass through them
+        and report what an untraced eval reports."""
+        from vitals.data import (FeatureSequence, ManifestEntry, save_features,
+                                 write_annotations, write_manifest)
+        from vitals.model import ModelConfig, init_params
+        from vitals.train import Checkpoint, save_checkpoint
+
+        rng = np.random.default_rng(0)
+        entries = []
+        for vid, n in (("long", vitals.data.DOWNSAMPLE_LIMIT + 1), ("short", 40)):
+            fpath, apath = tmp_path / f"{vid}.vtaf", tmp_path / f"{vid}.txt"
+            save_features(fpath, FeatureSequence(vid, rng.standard_normal((n, 4))))
+            write_annotations(apath, np.arange(n) * 3 // n)
+            entries.append(ManifestEntry("test", fpath, apath))
+        write_manifest(tmp_path / "manifest.tsv", entries)
+        config = ModelConfig(num_phases=3, input_dim=4, hidden_dim=8, num_layers=2,
+                             num_decoders=1)
+        params = {k: p.data for k, p in init_params(config, 0).items()}
+        ckpt = tmp_path / "init.vtck"
+        save_checkpoint(ckpt, Checkpoint(model_config=config, params=params))
+
+        def eval_args(report):
+            return ["eval", "--checkpoint", str(ckpt), "--manifest",
+                    str(tmp_path / "manifest.tsv"), "--split", "test", "--report", str(report)]
+
+        child = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+        src = str(Path(vitals.__file__).parent.parent)
+        trace = tmp_path / "trace.json"
+        proc = subprocess.run([sys.executable, str(child), src, str(trace), "cli",
+                               *eval_args(tmp_path / "traced.txt")], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        snapshot = json.loads(trace.read_text())
+        assert snapshot["counters"]["data.downsample.frames_in"] == vitals.data.DOWNSAMPLE_LIMIT + 1
+        assert "train.evaluate" in snapshot["spans"]
+        assert run(*eval_args(tmp_path / "plain.txt")) == 0
+        assert (tmp_path / "traced.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
 
 
 class TestGradcheckCommand:

@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from vitals.data import (DEFAULT_PHASE_DURATIONS, FeatureSequence, LabelSequence
                          write_annotations, write_manifest)
 from vitals.errors import (ConfigError, CorruptionError, CoverageError, DataError,
                            FormatError, ParameterError)
+from vitals.train import load_videos
 
 
 class TestFeatureFiles:
@@ -400,6 +405,149 @@ class TestCopyFree:
         back, peak = traced_peak(lambda: load_features(tmp_path / "v.vtaf"))
         np.testing.assert_array_equal(back.data, feats.data)
         assert peak < 1.2 * feats.data.nbytes  # the reference: 2.0x
+
+
+class TestChunkedGenerator:
+    """Noise is drawn a chunk of rows at a time and the phases are copied into
+    one preallocated video; the bits are the reference's."""
+
+    # the default chunk holds 1310 rows of width 100 (131000 of 131072 values),
+    # and every phase spans two or more chunks
+    SPECS = {
+        "noise": SyntheticSpec(durations=[(50.0, 5.0), (35.0, 4.0), (45.0, 5.0)],
+                               feature_dim=100, noise_std=0.8),
+        "no_noise": SyntheticSpec(durations=[(50.0, 5.0), (35.0, 4.0), (45.0, 5.0)],
+                                  feature_dim=100, noise_std=0.0),
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_matches_reference_across_chunks(self, name):
+        spec = self.SPECS[name]
+        rows = vitals.data._NOISE_CHUNK_BYTES // (8 * spec.feature_dim)
+        for seed in range(5):
+            feats, labels = generate_synthetic_video(spec, seed)
+            ref_data, ref_labels = reference_generate(spec, seed)
+            assert np.bincount(labels.labels).min() > rows
+            assert feats.data.dtype == np.float32
+            np.testing.assert_array_equal(feats.data, ref_data)
+            np.testing.assert_array_equal(labels.labels, ref_labels)
+
+    def test_many_small_chunks_match_reference(self, monkeypatch):
+        # 10 rows of width 12 per chunk of 125 values, so a phase of about 48
+        # frames spans several chunks, the last one short
+        monkeypatch.setattr(vitals.data, "_NOISE_CHUNK_BYTES", 1000)
+        spec = SyntheticSpec(durations=[(0.8, 0.4)] * 4, feature_dim=12,
+                             skip_prob=[0.0, 0.3, 0.0, 0.3])
+        for seed in range(5):
+            feats, labels = generate_synthetic_video(spec, seed)
+            ref_data, ref_labels = reference_generate(spec, seed)
+            np.testing.assert_array_equal(feats.data, ref_data)
+            np.testing.assert_array_equal(labels.labels, ref_labels)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_resident_peak_of_a_paper_width_video(self):
+        # RSS counts only touched pages, unlike tracemalloc: the video's pages
+        # are filled as its phase blocks are copied in and dropped
+        script = """if True:
+            import sys
+            from vitals.data import SyntheticSpec, generate_synthetic_video
+
+            def status(key):
+                for line in open("/proc/self/status"):
+                    if line.startswith(key + ":"):
+                        return int(line.split()[1]) * 1024
+
+            spec = SyntheticSpec(durations=[(2000 / 60, 0.0)] * 4, feature_dim=2048)
+            before = status("VmRSS")
+            feats, _ = generate_synthetic_video(spec, 0)
+            print(feats.n, feats.data.nbytes, status("VmHWM") - before)
+        """
+        src = str(Path(vitals.data.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        n, payload, grown = (int(v) for v in proc.stdout.split())
+        assert n == 8000
+        assert grown < 1.7 * payload  # 2.6x when the blocks were concatenated
+
+
+def write_video(tmp_path, n, d, seed=0):
+    """A feature file of n random rows of width d and its annotation file
+    (three phases); returns its train ManifestEntry."""
+    data = np.random.default_rng(seed).standard_normal((n, d)).astype(np.float32)
+    fpath, apath = tmp_path / f"v{n}.vtaf", tmp_path / f"v{n}.txt"
+    save_features(fpath, FeatureSequence(fpath.stem, data))
+    write_annotations(apath, np.arange(n) * 3 // n)
+    return ManifestEntry("train", fpath, apath)
+
+
+class TestRowBlockLoader:
+    """A video above the downsample limit is read a block of rows at a time
+    and only its kept rows are held."""
+
+    D, BLOCK_ROWS, LIMIT = 6, 16, 50
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(vitals.data, "_READ_BLOCK_BYTES", 4 * self.D * self.BLOCK_ROWS)
+
+    @pytest.mark.parametrize("n", [LIMIT, LIMIT + 1, 5 * BLOCK_ROWS - 1, 5 * BLOCK_ROWS,
+                                   5 * BLOCK_ROWS + 1])
+    def test_rows_match_whole_load(self, tmp_path, small_blocks, n):
+        entry = write_video(tmp_path, n, self.D)
+        [video] = load_videos([entry], "train", 3, self.LIMIT)
+        idx = downsample_indices(n, self.LIMIT)
+        np.testing.assert_array_equal(video.features, load_features(entry.feature_path).data[idx])
+        np.testing.assert_array_equal(video.labels, (np.arange(n) * 3 // n)[idx])
+        assert video.features.dtype == np.float32 and video.video_id == f"v{n}"
+
+    def test_default_block_size(self, tmp_path):
+        d = 4
+        n = 2 * (vitals.data._READ_BLOCK_BYTES // (4 * d)) + 1
+        entry = write_video(tmp_path, n, d)
+        [video] = load_videos([entry], "train", 3, 1000)
+        np.testing.assert_array_equal(
+            video.features, load_features(entry.feature_path).data[downsample_indices(n, 1000)])
+
+    @pytest.mark.parametrize("frame", [2, 37, 79], ids=["first_block", "middle", "last_row"])
+    def test_non_finite_dropped_frame(self, tmp_path, small_blocks, frame):
+        n = 5 * self.BLOCK_ROWS
+        assert frame not in downsample_indices(n, self.LIMIT)
+        entry = write_video(tmp_path, n, self.D)
+        seq = load_features(entry.feature_path)
+        seq.data[frame, 3] = np.nan
+        save_features(entry.feature_path, seq)
+        with pytest.raises(CorruptionError, match=f"at frame {frame} ") as whole:
+            load_features(entry.feature_path)
+        with pytest.raises(CorruptionError) as rows:
+            load_videos([entry], "train", 3, self.LIMIT)
+        assert str(rows.value) == str(whole.value)
+        assert rows.value.offset == whole.value.offset == 24 + 4 * (frame * self.D + 3)
+
+    @pytest.mark.parametrize("cut", [8, 4 * D * 20 + 2], ids=["last_block", "two_blocks"])
+    def test_file_shrinking_after_size_check(self, tmp_path, small_blocks, monkeypatch, cut):
+        n = 5 * self.BLOCK_ROWS
+        entry = write_video(tmp_path, n, self.D)
+        path = entry.feature_path
+        full = path.stat()
+        path.write_bytes(path.read_bytes()[:-cut])
+        monkeypatch.setattr(vitals.data.os, "fstat", lambda fd: full)
+        with pytest.raises(CorruptionError, match="payload truncated") as whole:
+            load_features(path)
+        with pytest.raises(CorruptionError, match="payload truncated") as rows:
+            load_videos([entry], "train", 3, self.LIMIT)
+        assert str(rows.value) == str(whole.value)
+        assert rows.value.offset == whole.value.offset == 24 + 4 * ((full.st_size - 24 - cut) // 4)
+
+    def test_peak_is_the_kept_rows_and_one_block(self, tmp_path, traced_peak):
+        d, limit = 64, 8192
+        entry = write_video(tmp_path, 2 * limit, d)
+        [video], peak = traced_peak(lambda: load_videos([entry], "train", 3, limit))
+        kept = video.features.nbytes
+        assert kept == limit * d * 4
+        # loading the whole file first and indexing it held 3x the kept rows
+        assert peak < 1.2 * kept + vitals.data._READ_BLOCK_BYTES
 
 
 class TestKeyValues:
