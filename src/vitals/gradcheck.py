@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from . import model as mdl
 from . import tensor as T
 from .errors import ParameterError
 from .model import ModelConfig, cross_entropy_loss, init_params, model_forward, smoothing_loss, total_loss
@@ -171,10 +170,10 @@ CHECKS = {
     "dilated_conv1d": _plain(lambda x, k: T.dilated_conv1d(x, k, 4), (16, 3), (3, 3, 2)),
     # n=9 pads the last window-4 chunk; u and f are drawn apart
     "chunked_attention": _plain(lambda u, f, *w: T.chunked_attention(u, f, 4, *w),
-                                (9, 4), (9, 4), (4, 4), (4, 4), (4, 4)),
-    "self_attention": _plain(lambda f, *w: mdl.cross_attention(f, f, 3, *w),
+                                (9, 4), (9, 4), (4, 4), (4, 4), (4, 4), (4, 4)),
+    "self_attention": _plain(lambda f, *w: T.chunked_attention(f, f, 3, *w),
                              (7, 4), (4, 4), (4, 4), (4, 4), (4, 4)),
-    "cross_attention": _plain(lambda u, f, *w: mdl.cross_attention(u, f, 3, *w),
+    "cross_attention": _plain(lambda u, f, *w: T.chunked_attention(u, f, 3, *w),
                               (7, 4), (7, 4), (4, 4), (4, 4), (4, 4), (4, 4)),
     "cross_entropy_loss": _check_cross_entropy,
     "smoothing_loss": _check_smoothing_loss,

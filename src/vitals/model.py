@@ -139,26 +139,16 @@ def init_params(config: ModelConfig, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# attention wrappers
-
-
-def cross_attention(u: Tensor, f: Tensor, window: int, wq, wk, wv, wo) -> Tensor:
-    """Chunked attention where the query comes from u, keys/values from f,
-    each projected inside the attention op; u = f is self-attention."""
-    return T.matmul(T.chunked_attention(u, f, window, wq, wk, wv), wo)
+# forward passes
 
 
 def _block(x, query, params, prefix, size, config, training, rng):
     """Conv -> attention -> residual. query=None means self-attention."""
     f = T.relu(T.add_row(T.dilated_conv1d(x, params[f"{prefix}.conv.weight"], size),
                          params[f"{prefix}.conv.bias"]))
-    wq, wk, wv, wo = (params[f"{prefix}.attn.{p}"] for p in ("wq", "wk", "wv", "wo"))
-    a = cross_attention(f if query is None else query, f, size, wq, wk, wv, wo)
+    maps = (params[f"{prefix}.attn.{p}"] for p in ("wq", "wk", "wv", "wo"))
+    a = T.chunked_attention(f if query is None else query, f, size, *maps)
     return T.add(x, T.dropout(a, config.dropout_rate, rng, training))
-
-
-# ---------------------------------------------------------------------------
-# forward passes
 
 
 def encoder_forward(E: Tensor, params, config: ModelConfig, training=False, rng=None):

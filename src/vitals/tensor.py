@@ -359,19 +359,20 @@ def _chunk_weights(qs, ks, buf, inv_scale, mask, row_max=None, row_sum=None):
 
 
 def chunked_attention(u: Tensor, f: Tensor, window: int, wq: Tensor, wk: Tensor,
-                      wv: Tensor) -> Tensor:
+                      wv: Tensor, wo: Tensor) -> Tensor:
     """Scaled dot-product attention of q = u @ wq over k = f @ wk and
-    v = f @ wv, inside consecutive chunks of `window` rows.
+    v = f @ wv, inside consecutive chunks of `window` rows, projected by wo.
 
     The last chunk may be shorter; no attention crosses chunk boundaries.
     Each projection is computed straight into a buffer of whole w x h
     chunks whose rows past n are zeroed. Chunks are computed a group at a
     time, at most `_GROUP_SCORES` scores per group, through one reused
-    buffer. The node keeps u, f, the three maps and each row's softmax max
-    and sum, not the projections: backward recomputes them the same way,
-    bit for bit, and rebuilds each group's weights from the max and sum.
-    When every chunk fits in one group, the node keeps that group's weights
-    and backward rebuilds none.
+    buffer. The node keeps u, f, the four maps and each row's softmax max
+    and sum, not the projections or the attention output: backward
+    recomputes them the same way, bit for bit, rebuilding each group's
+    weights from the max and sum and its output from the weights. When
+    every chunk fits in one group, the node keeps that group's weights and
+    backward rebuilds none.
     """
     pairs = [(src.data, wt.data) for src, wt in ((u, wq), (f, wk), (f, wv))]  # q, k, v
     for src, wt in pairs:
@@ -386,6 +387,9 @@ def chunked_attention(u: Tensor, f: Tensor, window: int, wq: Tensor, wk: Tensor,
     if h == 0:
         raise ShapeError("chunked_attention needs q/k/v of nonzero width")
     w = min(_positive_int("window", window), n)
+    wod = wo.data
+    if wod.ndim != 2 or wod.shape[0] != h:
+        raise ShapeError(f"matmul shape mismatch: {(n, h)} x {wod.shape}")
     nc, rem = -(-n // w), n % w
     per_group = min(max(_GROUP_SCORES // (w * w), 1), nc)
     # each group's chunks, and the real keys of its last chunk when that is
@@ -419,16 +423,21 @@ def chunked_attention(u: Tensor, f: Tensor, window: int, wq: Tensor, wk: Tensor,
         stats.append((row_max, row_sum))
         np.matmul(a, vs[g], out=out[g])
     weights = buf if len(groups) == 1 else None
+    # freed before the output projection allocates, so it can take their pages
+    del qs, ks, vs, buf, a
+    y = rows(out) @ wod
+    del out
 
-    def bwd(dout):
+    def bwd(dy):
         qs, ks, vs = projections()
-        do = chunks(lambda r: np.copyto(r, dout), dout.dtype)
-        dq, dk, dv = (np.empty((nc, w, h), dtype) for _ in range(3))
+        do = chunks(lambda r: np.matmul(dy, wod.T, out=r), np.result_type(dy, wod))
+        o, dq, dk, dv = (np.empty((nc, w, h), dtype) for _ in range(4))
         ds_buf = np.empty((per_group, w, w), dtype)
         a_buf = None if weights is not None else np.empty_like(ds_buf)
         for (g, mask), (row_max, row_sum) in zip(groups, stats):
             a = weights if weights is not None else _chunk_weights(
                 qs[g], ks[g], a_buf, inv_scale, mask, row_max, row_sum)[0]
+            np.matmul(a, vs[g], out=o[g])  # the forward's output, for dwo
             np.matmul(a.transpose(0, 2, 1), do[g], out=dv[g])
             # d(loss)/d(a), then through the softmax
             ds = np.matmul(do[g], vs[g].transpose(0, 2, 1), out=ds_buf[: len(a)])
@@ -437,11 +446,13 @@ def chunked_attention(u: Tensor, f: Tensor, window: int, wq: Tensor, wk: Tensor,
             np.matmul(ds, ks[g], out=dq[g])
             np.matmul(ds.transpose(0, 2, 1), qs[g], out=dk[g])
         del qs, ks, vs, do  # freed before the projection gradients
+        dwo = rows(o).T @ dy
+        del o
         dq *= inv_scale
         dk *= inv_scale
         dq, dk, dv = rows(dq), rows(dk), rows(dv)
-        # through the projections, v's first, then k's, then q's: the order in
-        # which separate matmul nodes would sum their gradients into f and u
-        return (dv @ wvd.T, fd.T @ dv, dk @ wkd.T, fd.T @ dk, dq @ wqd.T, ud.T @ dq)
+        # through the projections, wo's first, then v's, k's and q's: the order
+        # in which separate matmul nodes would sum their gradients into f and u
+        return (dwo, dv @ wvd.T, fd.T @ dv, dk @ wkd.T, fd.T @ dk, dq @ wqd.T, ud.T @ dq)
 
-    return record("chunked_attention", [f, wv, f, wk, u, wq], Tensor(rows(out)), bwd)
+    return record("chunked_attention", [wo, f, wv, f, wk, u, wq], Tensor(y), bwd)

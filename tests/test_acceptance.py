@@ -16,8 +16,8 @@ from vitals.data import (ManifestEntry, SyntheticSpec, downsample_indices,
                          generate_synthetic_video, save_features, segments_from_labels,
                          write_annotations)
 from vitals.metrics import video_report
-from vitals.model import ModelConfig, cross_attention, init_params, model_forward
-from vitals.tensor import Tensor
+from vitals.model import ModelConfig, init_params, model_forward
+from vitals.tensor import Tensor, chunked_attention
 from vitals.train import TrainConfig, load_checkpoint, save_checkpoint
 from vitals.train import train as run_train
 
@@ -180,7 +180,7 @@ def test_c7_attention_scalability(announce):
     for _ in range(5):
         for i, x in enumerate(inputs):
             start = time.perf_counter()
-            cross_attention(x, x, 64, *weights)
+            chunked_attention(x, x, 64, *weights)
             best[i] = min(best[i], time.perf_counter() - start)
     t_small, t_large = best
     ratio = t_large / t_small

@@ -95,3 +95,14 @@ def test_every_op_of_a_training_step_has_a_check():
 def test_each_op_check_records_its_op(op):
     fn, inputs = gc.CHECKS[op](np.random.default_rng(0), 0)
     assert op in _recorded_ops(fn, *inputs)
+
+
+def test_attention_checks_record_one_attention_node():
+    # the four maps are inputs of one node: corrupting it fails every attention
+    # check and the model, and a matmul node never sits inside attention
+    for name in ("chunked_attention", "self_attention", "cross_attention"):
+        fn, inputs = gc.CHECKS[name](np.random.default_rng(0), 0)
+        assert _recorded_ops(fn, *inputs) == {"chunked_attention"}, name
+    results = gc.run_suite(seeds=1, corrupt="chunked_attention")
+    for name in ("chunked_attention", "self_attention", "cross_attention", "end_to_end"):
+        assert results[name] >= gc.THRESHOLD, name

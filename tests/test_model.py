@@ -8,9 +8,9 @@ import vitals.model
 from vitals.errors import DataError, ParameterError, ShapeError
 from vitals.model import (ModelConfig, StagePredictions, cross_entropy_loss,
                           decoder_stage_forward, encoder_forward, init_params,
-                          cross_attention, model_forward, num_parameter_tensors,
+                          model_forward, num_parameter_tensors,
                           num_parameter_values, parameter_shapes, smoothing_loss, total_loss)
-from vitals.tensor import Tape, Tensor, backward
+from vitals.tensor import Tape, Tensor, backward, chunked_attention
 
 
 def small_config(**kw):
@@ -335,7 +335,7 @@ def test_self_attention_zero_query_gives_chunk_means():
     wk = Tensor(rng.standard_normal((h, h)).astype(np.float32))
     wv = Tensor(np.eye(h, dtype=np.float32))
     wo = Tensor(np.eye(h, dtype=np.float32))
-    out = cross_attention(f, f, 4, wq, wk, wv, wo)
+    out = chunked_attention(f, f, 4, wq, wk, wv, wo)
     for chunk in (0, 1):
         mean = f.data[4 * chunk: 4 * chunk + 4].mean(axis=0)
         for t in range(4 * chunk, 4 * chunk + 4):
@@ -352,4 +352,4 @@ def test_cross_attention_shape_mismatch(u_shape, f_shape, message):
     u, f = (Tensor(rng.standard_normal(s).astype(np.float32)) for s in (u_shape, f_shape))
     wq, wk, wv, wo = (Tensor(rng.standard_normal((4, 4)).astype(np.float32)) for _ in range(4))
     with pytest.raises(ShapeError, match=message):
-        cross_attention(u, f, 4, wq, wk, wv, wo)
+        chunked_attention(u, f, 4, wq, wk, wv, wo)

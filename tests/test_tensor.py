@@ -471,17 +471,19 @@ class TestStepMemory:
                 loss = total_loss(preds, labels, config)
             ops = [op for op, _ in tape.refs]
             refs = {op: [r for o, r in tape.refs if o == op] for op in set(ops)}
-            wo_outputs = [tape.refs[i + 1][1] for i, op in enumerate(ops)
-                          if op == "chunked_attention"]
-            assert len(refs["dilated_conv1d"]) == len(refs["dropout"]) == len(wo_outputs) == 4
-            for ref in refs["dilated_conv1d"] + refs["dropout"] + wo_outputs:
+            assert len(refs["dilated_conv1d"]) == len(refs["dropout"]) == \
+                len(refs["chunked_attention"]) == 4
+            # attention rebuilds its output in backward, so no node holds it
+            for ref in refs["dilated_conv1d"] + refs["dropout"] + refs["chunked_attention"]:
                 assert ref() is None
             # arrays a backward reads stay: relu outputs feed the attention node,
-            # which projects them again in backward, and attention outputs the
-            # wo matmul; no q/k/v matmul node sits between the two
+            # which projects them again in backward; no q/k/v matmul node sits
+            # between the two, and no wo matmul node follows it
             assert [ops[i + 1] for i, op in enumerate(ops) if op == "relu"] == \
                 ["chunked_attention"] * 4
-            assert all(ref() is not None for ref in refs["relu"] + refs["chunked_attention"])
+            assert [ops[i + 1] for i, op in enumerate(ops) if op == "chunked_attention"] == \
+                ["dropout"] * 4
+            assert all(ref() is not None for ref in refs["relu"])
             backward(tape, loss)
         finally:
             if enabled:
@@ -509,11 +511,13 @@ class TestStepMemory:
     def test_mid_config_step_peak(self):
         """tracemalloc peak of one train step at n=1200, d=h=64, L=10, N=3.
 
-        Measured on numpy 2.4: 67.8 MB; 107.4 MB when every block's q, k and
-        v projections were held for backward, 164.8 MB when every attention
-        node also kept its n x w weights, and 271.3 MB when every node also
-        pinned its output and inputs and conv and dropout kept copies. The
-        bound sits between the first two, so a return of any fails.
+        Measured on numpy 2.4: 54.9 MB with 276 tape nodes; 67.6 MB when the
+        wo matmul node held every block's attention output, 107.4 MB when
+        every block's q, k and v projections were also held for backward,
+        164.8 MB when every attention node also kept its n x w weights, and
+        271.3 MB when every node also pinned its output and inputs and conv
+        and dropout kept copies. The bound sits between the first two, so a
+        return of any fails.
         """
         config = ModelConfig(num_phases=7, input_dim=64, hidden_dim=64, num_layers=10,
                              num_decoders=3)
@@ -527,17 +531,19 @@ class TestStepMemory:
             with Tape() as tape:
                 preds = model_forward(E, params, config, training=True, rng=rng)
                 loss = total_loss(preds, labels, config)
+            nodes = len(tape.nodes)
             backward(tape, loss)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 90e6, f"step peak {peak / 1e6:.1f} MB"
+        assert nodes == 276
+        assert peak < 62e6, f"step peak {peak / 1e6:.1f} MB"
 
 
-def attend(u, f, window, wq=None, wk=None, wv=None):
+def attend(u, f, window, wq=None, wk=None, wv=None, wo=None):
     """Chunked attention of float32 arrays u and f; a map left out is the identity."""
     eye = np.eye(u.shape[1], dtype=np.float32)
-    maps = [eye if m is None else m for m in (wq, wk, wv)]
+    maps = [eye if m is None else m for m in (wq, wk, wv, wo)]
     return T.chunked_attention(Tensor(u), Tensor(f), window, *map(Tensor, maps))
 
 
@@ -591,6 +597,47 @@ class TestChunkedAttention:
         with pytest.raises(ShapeError, match="nonzero width"):
             attend(z, z, 2, w, w, w)
 
+    @pytest.mark.parametrize("wo_shape", [(5, 4), (4,)], ids=["rows", "1-D"])
+    def test_misshaped_output_map_fails_before_projecting(self, wo_shape):
+        """A wo that is not 2-D with h rows is refused before q, k or v is
+        computed: nothing of n x h is allocated on the way to the error."""
+        n, h = 20000, 4
+        u = np.ones((n, h), np.float32)
+        wo = np.ones(wo_shape, np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ShapeError, match="matmul shape mismatch"):
+                attend(u, u, 8, wo=wo)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < u.nbytes, f"{peak} bytes traced before the error"
+
+    @pytest.mark.parametrize("window", [16, 512])
+    def test_inference_frees_chunks_before_projecting_output(self, window):
+        """Without a tape the q, k and v chunk buffers, and the group buffer
+        when no node keeps it, are freed before the output projection
+        allocates: the call's traced peak stays below the three zero-tailed
+        projections, the output buffer, the group buffer and half an n x h.
+        Projecting while q, k and v are alive adds a whole n x h to it."""
+        n, h = 3000, 64
+        rng = np.random.default_rng(17)
+        u = rng.standard_normal((n, h)).astype(np.float32)
+        maps = [rng.standard_normal((h, h)).astype(np.float32) for _ in range(4)]
+        nc = -(-n // window)
+        per_group = min(max(T._GROUP_SCORES // window ** 2, 1), nc)
+        bound = 4 * (4 * nc * window * h + per_group * window ** 2) + n * h * 4 // 2
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = attend(u, u, window, *maps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (n, h)
+        assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
     # up to (257, 16) every chunk fits in one group of 2^18 scores; (1536, 256),
     # (1536, 512) and (4096, 128) span several groups with no tail; (2100, 128)
     # and (1300, 512) put the padded tail in a group alone, (2500, 128) and
@@ -602,29 +649,30 @@ class TestChunkedAttention:
                                           (1300, 512), (2500, 128), (1300, 256), (1100, 1024)])
     def test_bits_match_reference(self, n, window, dtype):
         """The op's output and gradients, bit for bit, against the reference
-        attention of separately computed projections and each projection's
-        matmul gradients, listed as the op lists its inputs: f, wv, f, wk,
-        u, wq."""
+        attention of separately computed projections, then the wo matmul,
+        and each matmul's gradients, listed as the op lists its inputs: wo,
+        f, wv, f, wk, u, wq."""
         rng = np.random.default_rng(n * 1000 + window)
         u, f, dout = (rng.standard_normal((n, 8)).astype(dtype) for _ in range(3))
-        wq, wk, wv = (rng.standard_normal((8, 8)).astype(dtype) for _ in range(3))
-        out, (dq, dk, dv) = ref_chunked_attention(u @ wq, f @ wk, f @ wv, window, dout)
-        ref_grads = (dv @ wv.T, f.T @ dv, dk @ wk.T, f.T @ dk, dq @ wq.T, u.T @ dq)
+        wq, wk, wv, wo = (rng.standard_normal((8, 8)).astype(dtype) for _ in range(4))
+        out, (dq, dk, dv) = ref_chunked_attention(u @ wq, f @ wk, f @ wv, window, dout @ wo.T)
+        ref_grads = (out.T @ dout, dv @ wv.T, f.T @ dv, dk @ wk.T, f.T @ dk, dq @ wq.T, u.T @ dq)
         assert_same_bits(
             op_and_grads(lambda *t: T.chunked_attention(t[0], t[1], window, *t[2:]),
-                         [u, f, wq, wk, wv], dout),
-            (out, ref_grads))
+                         [u, f, wq, wk, wv, wo], dout),
+            (out @ wo, ref_grads))
 
     @pytest.mark.parametrize("n,window,keeps_weights", [(1300, 512, False), (300, 64, True)])
     def test_node_holds_weights_only_within_one_group(self, n, window, keeps_weights):
         """The arrays a node's backward closure holds, walked one level deep as
-        perfbench's tape walk does: u and f, the three h x h maps and a
-        softmax max and sum per padded row, and no projection: no other
-        array of n rows or of whole w x h chunks. Only a node whose chunks
-        all fit in one group also keeps their w x w weights."""
+        perfbench's tape walk does: u and f, the four h x h maps and a
+        softmax max and sum per padded row, and no projection or attention
+        output: no other array of n rows or of whole w x h chunks. Only a
+        node whose chunks all fit in one group also keeps their w x w
+        weights."""
         h, nc = 8, -(-n // window)
         u, f = (Tensor(np.full((n, h), c, np.float32), requires_grad=True) for c in (1, 2))
-        maps = [Tensor(np.eye(h, dtype=np.float32), requires_grad=True) for _ in range(3)]
+        maps = [Tensor(np.eye(h, dtype=np.float32), requires_grad=True) for _ in range(4)]
         with Tape() as tape:
             T.chunked_attention(u, f, window, *maps)
         held = {}
@@ -642,7 +690,7 @@ class TestChunkedAttention:
         assert any(a is u.data for a in held.values()) and any(a is f.data for a in held.values())
         others = [a for a in held.values() if a is not u.data and a is not f.data]
         assert not any(len(a) in (n, nc * window) or a.shape[-2:] == (window, h) for a in others)
-        expected = 2 * n * h + 3 * h * h + 2 * nc * window + keeps_weights * nc * window ** 2
+        expected = 2 * n * h + 4 * h * h + 2 * nc * window + keeps_weights * nc * window ** 2
         assert sum(a.nbytes for a in held.values()) == 4 * expected
         assert any(a.shape[-2:] == (window, window) for a in others) == keeps_weights
 
