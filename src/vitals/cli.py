@@ -19,7 +19,7 @@ from .data import (ManifestEntry, SyntheticSpec, generate_synthetic_video, load_
                    write_manifest)
 from .errors import ConfigError, VitalsError
 from .train import (evaluate, infer, load_checkpoint, load_manifest, model_config_from_train,
-                    parse_config, save_checkpoint, train)
+                    parse_config, save_checkpoint, split_entries, train)
 
 
 def _build_parser():
@@ -139,10 +139,12 @@ def cmd_train(args):
     _require_out_dir("--out-checkpoint", args.out_checkpoint)
     train_config, overrides = parse_config(args.config)
     entries = load_manifest(args.manifest)
-    train_entries = [e for e in entries if e.split == "train"]
+    train_entries = split_entries(entries, "train")
     if not train_entries:
         raise ConfigError(f"{args.manifest}: no train entries")
-    with open(train_entries[0].feature_path, "rb") as f:  # train() loads the payload
+    # the first video by id: train() checks it first, so a dim mismatch names
+    # the video that differs; train() reads the payloads
+    with open(train_entries[0].feature_path, "rb") as f:
         _, input_dim, _ = read_feature_header(f, train_entries[0].feature_path)
     model_config = model_config_from_train(train_config, input_dim, overrides)
     ckpt, _ = train(entries, model_config, train_config, log_path=args.log)

@@ -2,9 +2,12 @@
 
 A batch is one full video: the temporal losses need the whole (downsampled)
 sequence, so every optimizer step consumes one forward/backward pass over a
-single video. Everything is deterministic given (seed, data, config); the
-RNG state is checkpointed so a resumed run is bit-identical to an
-uninterrupted one.
+single video. Before the first step `train()` reads every training video's
+header and annotations, so their faults surface before any compute, and
+keeps only the labels; each step reads its video's features and drops them
+once backward has run, so at most one video's features are held. Everything
+is deterministic given (seed, data, config); the RNG state is checkpointed so
+a resumed run is bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -381,36 +384,72 @@ def load_checkpoint(path) -> Checkpoint:
 
 @dataclass
 class _Video:
+    """A video's header facts and labels. Its features are read when a step
+    or a report needs them (`_read_features`); only `load_videos` keeps them."""
     video_id: str
-    features: np.ndarray  # downsampled n x d
-    labels: np.ndarray
+    path: Path
+    n: int                       # frames and values per frame, from the header
+    d: int
+    labels: np.ndarray           # one per kept frame
+    rows: np.ndarray = None      # the kept frames above the downsample limit, else None
     weights: np.ndarray = None
+    features: np.ndarray = None  # kept rows x d
 
 
-def _split_entries(entries, split):
+def split_entries(entries, split):
     """The split's manifest entries in video id (feature file stem) order."""
     return sorted((e for e in entries if e.split == split), key=lambda e: Path(e.feature_path).stem)
 
 
-def _load_video(entry, num_phases, downsample_limit=DOWNSAMPLE_LIMIT):
-    """One video's features and labels, downsampled above the limit.
+def _read_video_header(entry, num_phases, downsample_limit=DOWNSAMPLE_LIMIT, input_dim=None,
+                       dim_of=None) -> _Video:
+    """A video's header and its labels, downsampled above the limit; the
+    feature payload is not read.
 
-    Above the limit the payload is read a block of rows at a time and only
-    the kept frames are held; at or below it `load_features` reads it whole.
+    With `input_dim`, another feature dim is a DataError raised before the
+    annotations are parsed; `dim_of` names the video input_dim was taken from.
     """
     path = Path(entry.feature_path)
     with open(path, "rb") as f:
         n, d, _ = read_feature_header(f, path)
-        idx = downsample_indices(n, downsample_limit) if n > downsample_limit else None
-        features = (load_features(path).data if idx is None
-                    else read_feature_rows(f, path, n, d, idx))
+    if input_dim is not None and d != input_dim:
+        raise DataError(f"video {path.stem}: feature dim {d} != model input_dim {input_dim}"
+                        + (f", the feature dim of video {dim_of}" if dim_of else ""))
+    rows = downsample_indices(n, downsample_limit) if n > downsample_limit else None
     labels = parse_annotations(entry.annotation_path, n, num_phases).labels
-    return _Video(video_id=path.stem, features=features,
-                  labels=labels if idx is None else labels[idx])
+    return _Video(video_id=path.stem, path=path, n=n, d=d,
+                  labels=labels if rows is None else labels[rows], rows=rows)
+
+
+def _read_features(v: _Video):
+    """The kept feature rows of `v`, read now.
+
+    Above the limit the payload is read a block of rows at a time and only
+    the kept frames are held; at or below it `load_features` reads it whole.
+    A file whose shape is no longer the header `v` was built from is a
+    DataError: its labels would not match its frames.
+    """
+    if v.rows is None:
+        features = load_features(v.path).data
+        shape = features.shape
+    else:
+        with open(v.path, "rb") as f:
+            shape = read_feature_header(f, v.path)[:2]
+            if shape == (v.n, v.d):
+                features = read_feature_rows(f, v.path, v.n, v.d, v.rows)
+    if shape != (v.n, v.d):
+        raise DataError(f"{v.path}: feature file changed since the run started: it is "
+                        f"{shape[0]} x {shape[1]} now, {v.n} x {v.d} before")
+    return features
 
 
 def load_videos(entries, split, num_phases, downsample_limit=DOWNSAMPLE_LIMIT):
-    return [_load_video(e, num_phases, downsample_limit) for e in _split_entries(entries, split)]
+    """Every video of the split in video id order, each with its features."""
+    videos = [_read_video_header(e, num_phases, downsample_limit)
+              for e in split_entries(entries, split)]
+    for v in videos:
+        v.features = _read_features(v)
+    return videos
 
 
 def _resolve_entries(manifest):
@@ -443,19 +482,18 @@ def train(manifest, model_config: ModelConfig, train_config: TrainConfig,
           resume: Checkpoint = None, log_path=None):
     """Run the epoch loop from `resume`, by default the seeded epoch-0 state, without
     changing it; returns (final Checkpoint, list of log lines)."""
-    entries = _resolve_entries(manifest)
-    videos = load_videos(entries, "train", model_config.num_phases,
-                         train_config.downsample_limit)
-    if not videos:
-        raise DataError("manifest has no train entries")
-    for v in videos:
-        if v.features.shape[1] != model_config.input_dim:
-            raise DataError(
-                f"video {v.video_id}: feature dim {v.features.shape[1]} != "
-                f"model input_dim {model_config.input_dim}"
-            )
+    # every header, dim and annotation fault is raised here, before any compute;
+    # each step reads its video's features (`_read_features`) and drops them
+    videos = []
+    for entry in split_entries(_resolve_entries(manifest), "train"):
+        # the first video by id gives `vitals train` its input_dim
+        v = _read_video_header(entry, model_config.num_phases, train_config.downsample_limit,
+                               model_config.input_dim, videos[0].video_id if videos else None)
         if train_config.balancing == "class-weights":
             v.weights = class_weights(v.labels, model_config.num_phases)
+        videos.append(v)
+    if not videos:
+        raise DataError("manifest has no train entries")
 
     rng = np.random.default_rng(train_config.seed)
     # built in the call, so the epoch-0 arrays are freed once the first step copies them
@@ -471,10 +509,11 @@ def train(manifest, model_config: ModelConfig, train_config: TrainConfig,
             losses, acc0, accf = [], [], []
             for vi in order:
                 v = videos[vi]
+                features = _read_features(v)
                 for p in params.values():
                     p.zero_grad()
                 with Tape() as tape:
-                    preds = model_forward(Tensor(v.features), params, model_config,
+                    preds = model_forward(Tensor(features), params, model_config,
                                           training=True, rng=rng)
                     loss = total_loss(preds, v.labels, model_config, v.weights)
                 loss_val = float(loss.data)
@@ -483,6 +522,7 @@ def train(manifest, model_config: ModelConfig, train_config: TrainConfig,
                         f"non-finite loss {loss_val} at epoch {epoch}, video {v.video_id}"
                     )
                 backward(tape, loss)
+                del features  # backward freed the nodes that held them: gone before the next read
                 adam_step(params, adam, train_config.learning_rate,
                           train_config.weight_decay)
                 losses.append(loss_val)
@@ -530,13 +570,13 @@ def infer(ckpt: Checkpoint, features, source) -> StagePredictions:
 def evaluate(ckpt: Checkpoint, manifest, split) -> EvaluationResult:
     """Frozen-parameter evaluation of one manifest split."""
     config = ckpt.model_config
-    entries = _split_entries(_resolve_entries(manifest), split)
+    entries = split_entries(_resolve_entries(manifest), split)
     if not entries:
         raise DataError(f"no videos in split {split!r}: nothing to report")
 
     def run(entry):  # one video is held at a time: loaded, run and dropped on return
-        v = _load_video(entry, config.num_phases)
-        preds = infer(ckpt, v.features, f"video {v.video_id}")
+        v = _read_video_header(entry, config.num_phases)
+        preds = infer(ckpt, _read_features(v), f"video {v.video_id}")
         return [M.video_report(v.labels, preds.argmax(s), config.num_phases, v.video_id)
                 for s in range(preds.num_stages)]
 

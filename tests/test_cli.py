@@ -193,6 +193,52 @@ class TestExitCodes:
         assert "non-finite feature value" in capsys.readouterr().err
         assert not (tmp_path / "c.vtck").exists()
 
+    def test_dim_mismatch_names_both_videos(self, tmp_path, capsys):
+        # the manifest lists the odd video first; train() checks in video id order
+        from vitals.data import (FeatureSequence, ManifestEntry, save_features,
+                                 write_annotations, write_manifest)
+        entries = []
+        for vid, d in (("zz_odd", 8), ("a_good", 4), ("b_good", 4)):
+            fpath, apath = tmp_path / f"{vid}.vtaf", tmp_path / f"{vid}.txt"
+            save_features(fpath, FeatureSequence(vid, np.ones((12, d))))
+            write_annotations(apath, np.arange(12) * 3 // 12)
+            entries.append(ManifestEntry("train", fpath, apath))
+        write_manifest(tmp_path / "manifest.tsv", entries)
+        ckpt = tmp_path / "c.vtck"
+        assert run("train", "--manifest", str(tmp_path / "manifest.tsv"), "--config",
+                   str(write_config(tmp_path / "t.conf")), "--out-checkpoint", str(ckpt)) == 1
+        assert capsys.readouterr().err == ("error: video zz_odd: feature dim 8 != model "
+                                           "input_dim 4, the feature dim of video a_good\n")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("change", ["frames", "dim", "removed"])
+    def test_feature_file_changed_mid_run(self, tmp_path, dataset, capsys, monkeypatch, change):
+        path = dataset / "video000.vtaf"
+        seq = load_features(path)
+        adam_step, steps = vitals.train.adam_step, []
+
+        def step_then_change(*args, **kwargs):
+            adam_step(*args, **kwargs)
+            if not steps:  # every video is read again in epoch 2
+                if change == "removed":
+                    path.unlink()
+                else:
+                    data = (np.vstack([seq.data, seq.data[:1]]) if change == "frames"
+                            else np.hstack([seq.data, seq.data]))
+                    vitals.data.save_features(path, vitals.data.FeatureSequence("video000", data))
+            steps.append(1)
+
+        monkeypatch.setattr(vitals.train, "adam_step", step_then_change)
+        ckpt = tmp_path / "c.vtck"
+        assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
+                   str(write_config(tmp_path / "t.conf", epochs=2)),
+                   "--out-checkpoint", str(ckpt)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert ("No such file" if change == "removed"
+                else "feature file changed since the run started") in err
+        assert not ckpt.exists()
+
     def test_bad_video_mid_split(self, tmp_path, dataset, capsys):
         ckpt = tmp_path / "model.vtck"
         assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
@@ -477,6 +523,41 @@ class TestBenchmarkTracer:
         assert "train.evaluate" in snapshot["spans"]
         assert run(*eval_args(tmp_path / "plain.txt")) == 0
         assert (tmp_path / "traced.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
+
+    def test_traced_train_downsamples(self, tmp_path):
+        """Training through perfbench/child.py reads every step's features
+        through the tracer's wrappers and writes the checkpoint an untraced
+        run writes."""
+        from vitals.data import (FeatureSequence, ManifestEntry, save_features,
+                                 write_annotations, write_manifest)
+
+        rng = np.random.default_rng(0)
+        entries = []
+        for vid, n in (("long", vitals.data.DOWNSAMPLE_LIMIT + 1), ("short", 40)):
+            fpath, apath = tmp_path / f"{vid}.vtaf", tmp_path / f"{vid}.txt"
+            save_features(fpath, FeatureSequence(vid, rng.standard_normal((n, 4))))
+            write_annotations(apath, np.arange(n) * 3 // n)
+            entries.append(ManifestEntry("train", fpath, apath))
+        write_manifest(tmp_path / "manifest.tsv", entries)
+        config = write_config(tmp_path / "t.conf", layers=1, hidden_dim=4)
+
+        def train_args(ckpt):
+            return ["train", "--manifest", str(tmp_path / "manifest.tsv"), "--config",
+                    str(config), "--out-checkpoint", str(ckpt)]
+
+        child = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+        src = str(Path(vitals.__file__).parent.parent)
+        trace = tmp_path / "trace.json"
+        proc = subprocess.run([sys.executable, str(child), src, str(trace), "cli",
+                               *train_args(tmp_path / "traced.vtck")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        snapshot = json.loads(trace.read_text())
+        assert snapshot["counters"]["data.downsample.frames_in"] == vitals.data.DOWNSAMPLE_LIMIT + 1
+        assert snapshot["spans"]["data.load_features"][0] == 2  # the short video, once per epoch
+        assert snapshot["spans"]["model.forward_train"][0] == 4
+        assert run(*train_args(tmp_path / "plain.vtck")) == 0
+        assert (tmp_path / "traced.vtck").read_bytes() == (tmp_path / "plain.vtck").read_bytes()
 
 
 class TestGradcheckCommand:

@@ -6,13 +6,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import vitals.train
 from vitals import metrics as M
-from vitals.data import (ManifestEntry, SyntheticSpec, downsample_indices,
-                         generate_synthetic_video, save_features, write_annotations,
-                         write_manifest)
+from vitals.data import (DOWNSAMPLE_LIMIT, FeatureSequence, ManifestEntry, SyntheticSpec,
+                         downsample_indices, generate_synthetic_video, load_features,
+                         save_features, write_annotations, write_manifest)
 from vitals.errors import (ConfigError, CorruptionError, CoverageError, DataError, FormatError,
                            ParameterError, ShapeError, TrainingError)
-from vitals.model import ModelConfig, init_params
+from vitals.model import ModelConfig, init_params, model_forward
 from vitals.tensor import Tensor
 from vitals.train import (CONFIG_KEYS, AdamState, Checkpoint, TrainConfig, adam_step, evaluate,
                           infer, load_checkpoint, load_manifest, load_videos,
@@ -698,6 +699,108 @@ class TestTrainingLoop:
         manifest = make_dataset(tmp_path)
         with pytest.raises(DataError):
             run_train(manifest, small_model(input_dim=99), TrainConfig(epochs=1))
+
+
+class TestReadsPerStep:
+    """train() reads every header and annotation before the first step, and
+    each video's features for its own step only."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The feature files read through `load_features` and the number of
+        `model_forward` calls, as train() makes them."""
+        seen = {"reads": [], "forwards": 0}
+
+        def reading(path):
+            seen["reads"].append(os.path.basename(path))
+            return load_features(path)
+
+        def forward(*args, **kwargs):
+            seen["forwards"] += 1
+            return model_forward(*args, **kwargs)
+
+        monkeypatch.setattr(vitals.train, "load_features", reading)
+        monkeypatch.setattr(vitals.train, "model_forward", forward)
+        return seen
+
+    @staticmethod
+    def break_magic(path):
+        path.with_suffix(".vtaf").write_bytes(b"XXXX" + path.with_suffix(".vtaf").read_bytes()[4:])
+
+    @staticmethod
+    def widen(path):
+        seq = load_features(path.with_suffix(".vtaf"))
+        save_features(path.with_suffix(".vtaf"), FeatureSequence(seq.video_id,
+                                                                 np.hstack([seq.data, seq.data])))
+
+    @staticmethod
+    def open_gap(path):
+        ann = path.with_suffix(".txt")
+        line = next(line for line in ann.read_text().splitlines()
+                    if int(line.split(",")[2]) > int(line.split(",")[1]))
+        phase, start, end = line.split(",")
+        ann.write_text(ann.read_text().replace(f"{line}\n", f"{phase},{start},{int(end) - 1}\n"))
+
+    @pytest.mark.parametrize("fault,error,match", [
+        (break_magic, FormatError, "video002.vtaf: bad magic"),
+        (widen, DataError, "video video002: feature dim 16 != model input_dim 8, "
+                           "the feature dim of video video000"),
+        (open_gap, CoverageError, "video002.txt: gap at frames"),
+    ], ids=["bad_magic", "dim_mismatch", "annotation_gap"])
+    def test_fault_in_last_video_raises_before_any_step(self, tmp_path, calls, fault, error,
+                                                        match):
+        manifest = make_dataset(tmp_path)  # video002 is the last of three train videos
+        fault(tmp_path / "video002")
+        with pytest.raises(error, match=match):
+            run_train(manifest, small_model(), TrainConfig(epochs=1))
+        assert calls == {"reads": [], "forwards": 0}
+
+    def test_each_step_reads_its_video(self, tmp_path, calls):
+        manifest = make_dataset(tmp_path)
+        run_train(manifest, small_model(), TrainConfig(epochs=3))
+        assert sorted(calls["reads"]) == sorted(3 * ["video000.vtaf", "video001.vtaf",
+                                                     "video002.vtaf"])
+        assert calls["forwards"] == 9
+
+    @pytest.mark.parametrize("limit", [DOWNSAMPLE_LIMIT, 4], ids=["whole", "downsampled"])
+    @pytest.mark.parametrize("change", ["frames", "dim"])
+    def test_feature_file_changed_mid_run(self, tmp_path, monkeypatch, limit, change):
+        manifest = make_dataset(tmp_path)
+        path = tmp_path / "video000.vtaf"
+        seq = load_features(path)
+        assert seq.n > limit or limit == DOWNSAMPLE_LIMIT
+        data = (np.vstack([seq.data, seq.data[:1]]) if change == "frames"
+                else np.hstack([seq.data, seq.data]))
+        steps = []
+
+        def step_then_rewrite(*args, **kwargs):
+            adam_step(*args, **kwargs)
+            if not steps:  # every video is read again in epoch 2
+                save_features(path, FeatureSequence(seq.video_id, data))
+            steps.append(1)
+
+        monkeypatch.setattr(vitals.train, "adam_step", step_then_rewrite)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: feature file changed since the run started: it is "
+                f"{data.shape[0]} x {data.shape[1]} now, {seq.n} x {seq.d} before")):
+            run_train(manifest, small_model(), TrainConfig(epochs=2, downsample_limit=limit))
+
+    def test_holds_one_video_at_a_time(self, tmp_path, traced_peak):
+        # four videos of 1000 frames x 1024 values (4.1 MB each); reading every
+        # video before the first step peaked at 4.27 payloads
+        n, d = 1000, 1024
+        entries = []
+        for i in range(4):
+            fpath, apath = tmp_path / f"v{i}.vtaf", tmp_path / f"v{i}.txt"
+            save_features(fpath, FeatureSequence(f"v{i}", np.random.default_rng(i)
+                                                 .standard_normal((n, d), dtype=np.float32)))
+            write_annotations(apath, np.arange(n) * 3 // n)
+            entries.append(ManifestEntry("train", fpath, apath))
+        config = small_model(input_dim=d, hidden_dim=8, num_layers=2, num_decoders=1)
+        (_, log), peak = traced_peak(lambda: run_train(entries, config,
+                                                       TrainConfig(epochs=2, seed=0)))
+        assert len(log) == 2
+        assert peak < 2 * n * d * 4
 
 
 class TestEvaluate:
