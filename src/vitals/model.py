@@ -142,32 +142,63 @@ def init_params(config: ModelConfig, seed=0):
 # forward passes
 
 
-def _block(x, query, params, prefix, size, config, training, rng):
-    """Conv -> attention -> residual. query=None means self-attention."""
+def _block(x, query, params, prefix, size, config, training, rng, out=None):
+    """Conv -> attention -> residual. query=None means self-attention. With
+    `out`, an array of x's shape, the residual sum is written into it."""
     f = T.relu(T.add_row(T.dilated_conv1d(x, params[f"{prefix}.conv.weight"], size),
                          params[f"{prefix}.conv.bias"]))
     maps = (params[f"{prefix}.attn.{p}"] for p in ("wq", "wk", "wv", "wo"))
-    a = T.chunked_attention(f if query is None else query, f, size, *maps)
-    return T.add(x, T.dropout(a, config.dropout_rate, rng, training))
+    a = T.dropout(T.chunked_attention(f if query is None else query, f, size, *maps),
+                  config.dropout_rate, rng, training)
+    if out is None:
+        return T.add(x, a)
+    np.add(x.data, a.data, out=out)  # T.add's sum, in place
+    return T.record("add", [x, a], Tensor(out), lambda dout: (dout, dout))
 
 
-def encoder_forward(E: Tensor, params, config: ModelConfig, training=False, rng=None):
-    """Initial prediction pass: n x K phase logits.
+def _input_projection(E, weight, config: ModelConfig):
+    """E @ weight, the n x h input of the first encoder block.
 
-    The fusion head concatenates all block outputs feature-wise and maps
-    them linearly to phase logits.
+    E is an n x d Tensor, or a zero-argument function that returns the same
+    n x d features at every call. For a function the product is taken from
+    one call's array, which is then dropped: the node keeps the function,
+    and backward calls it again for the weight's gradient E.T @ dout, the
+    whole-array product a matmul node forms from the array it holds, so the
+    bits are the same.
     """
-    n = E.data.shape[0]
-    if E.data.ndim != 2 or E.data.shape[1] != config.input_dim:
-        raise ShapeError(f"expected n x {config.input_dim} features, got {E.data.shape}")
-    x = T.matmul(E, params["input_proj.weight"])
+    features = E.data if isinstance(E, Tensor) else E()
+    if features.ndim != 2 or features.shape[1] != config.input_dim:
+        raise ShapeError(f"expected n x {config.input_dim} features, got {features.shape}")
+    if isinstance(E, Tensor):
+        return T.matmul(E, weight)
+    out = Tensor(features @ weight.data)
+    del features
+    return T.record("matmul", [weight], out, lambda dout: (E().T @ dout,))
+
+
+def encoder_forward(E, params, config: ModelConfig, training=False, rng=None):
+    """Initial prediction pass: n x K phase logits from n x d features E,
+    a Tensor or a reader of them (see `_input_projection`).
+
+    The fusion head maps all block outputs, side by side, linearly to phase
+    logits. They are side by side from the start: one n x (L*h) array holds
+    them, block i's residual sum is written into its i-th h columns, and the
+    next block reads it there. One concat_cols node hands each block its
+    columns of the fusion input's gradient.
+    """
+    x = _input_projection(E, params["input_proj.weight"], config)
+    n, h = x.data.shape
+    sizes = config.schedule(n)
+    columns = np.empty((n, len(sizes) * h), x.data.dtype)
     feats = []
-    for i, size in enumerate(config.schedule(n), start=1):
-        x = _block(x, None, params, f"encoder.block{i}", size, config, training, rng)
+    for i, size in enumerate(sizes):
+        x = _block(x, None, params, f"encoder.block{i + 1}", size, config, training, rng,
+                   out=columns[:, i * h:(i + 1) * h])
         feats.append(x)
-    fused = T.concat_cols(feats)
-    logits = T.add_row(T.matmul(fused, params["fusion.weight"]), params["fusion.bias"])
-    return logits
+    splits = np.arange(h, len(sizes) * h, h)
+    fused = T.record("concat_cols", feats, Tensor(columns),
+                     lambda dout: tuple(np.split(dout, splits, axis=1)))
+    return T.add_row(T.matmul(fused, params["fusion.weight"]), params["fusion.bias"])
 
 
 def decoder_stage_forward(prev_probs: Tensor, params, stage: int, config: ModelConfig,
@@ -182,8 +213,9 @@ def decoder_stage_forward(prev_probs: Tensor, params, stage: int, config: ModelC
                      params[f"decoder{stage}.classifier.bias"])
 
 
-def model_forward(E: Tensor, params, config: ModelConfig, training=False, rng=None):
-    """Full pass: encoder stage 0 plus N chained decoder refinements."""
+def model_forward(E, params, config: ModelConfig, training=False, rng=None):
+    """Full pass: encoder stage 0 plus N chained decoder refinements. E is
+    the n x d features, a Tensor or a reader of them (see `_input_projection`)."""
     logits = encoder_forward(E, params, config, training, rng)
     preds = StagePredictions()
     preds.logits.append(logits)

@@ -257,7 +257,11 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def dropout(x: Tensor, rate: float, rng=None, training: bool = True) -> Tensor:
     """Inverted dropout; returns x itself at inference or rate 0. A training
-    mask is drawn from `rng`, which must then be a np.random.Generator."""
+    mask is drawn from `rng`, which must then be a np.random.Generator.
+
+    The node keeps the mask bit-packed, one bit per value, and unpacks it in
+    backward: the same mask, so the same gradient bits, at an eighth of the
+    bytes a bool mask holds."""
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
@@ -265,11 +269,18 @@ def dropout(x: Tensor, rate: float, rng=None, training: bool = True) -> Tensor:
     if not isinstance(rng, np.random.Generator):
         raise ParameterError("training dropout draws its mask from a np.random.Generator, "
                              f"got {type(rng).__name__}")
-    keep = rng.random(x.data.shape) >= rate
+    shape = x.data.shape
+    keep = rng.random(shape) >= rate
     dtype = x.data.dtype.type
     kept = dtype(1) / dtype(1 - rate)  # the value a float mask would hold where kept
     out = Tensor(_masked(x.data, keep, kept))
-    return record("dropout", [x], out, lambda dout: (_masked(dout, keep, kept),))
+    packed = np.packbits(keep)
+
+    def bwd(dout):
+        keep = np.unpackbits(packed, count=dout.size).view(bool).reshape(shape)
+        return (_masked(dout, keep, kept),)
+
+    return record("dropout", [x], out, bwd)
 
 
 def _masked(a, keep, kept):

@@ -4,10 +4,13 @@ A batch is one full video: the temporal losses need the whole (downsampled)
 sequence, so every optimizer step consumes one forward/backward pass over a
 single video. Before the first step `train()` reads every training video's
 header and annotations, so their faults surface before any compute, and
-keeps only the labels; each step reads its video's features and drops them
-once backward has run, so at most one video's features are held. Everything
-is deterministic given (seed, data, config); the RNG state is checkpointed so
-a resumed run is bit-identical to an uninterrupted one.
+keeps only the labels. Each step reads its video's features twice: for the
+forward, which drops them once the input projection has read them, and in
+backward for that projection's weight gradient, the last the sweep forms.
+So the features are held only while one product reads them, never across
+the step, and never two videos' at once. Everything is deterministic given
+(seed, data, config); the RNG state is checkpointed so a resumed run is
+bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -422,25 +425,49 @@ def _read_video_header(entry, num_phases, downsample_limit=DOWNSAMPLE_LIMIT, inp
 
 
 def _read_features(v: _Video):
-    """The kept feature rows of `v`, read now.
+    """The kept feature rows of `v`, read now, and the file's identity: its
+    size, mtime and inode, from an fstat of the file held open across the read.
 
     Above the limit the payload is read a block of rows at a time and only
     the kept frames are held; at or below it `load_features` reads it whole.
     A file whose shape is no longer the header `v` was built from is a
     DataError: its labels would not match its frames.
     """
-    if v.rows is None:
-        features = load_features(v.path).data
-        shape = features.shape
-    else:
-        with open(v.path, "rb") as f:
+    with open(v.path, "rb") as f:
+        if v.rows is None:
+            features = load_features(v.path).data
+            shape = features.shape
+        else:
             shape = read_feature_header(f, v.path)[:2]
             if shape == (v.n, v.d):
                 features = read_feature_rows(f, v.path, v.n, v.d, v.rows)
+        stat = os.fstat(f.fileno())
     if shape != (v.n, v.d):
         raise DataError(f"{v.path}: feature file changed since the run started: it is "
                         f"{shape[0]} x {shape[1]} now, {v.n} x {v.d} before")
-    return features
+    return features, (stat.st_size, stat.st_mtime_ns, stat.st_ino)
+
+
+def _step_reader(v: _Video):
+    """A zero-argument reader of `v`'s kept rows for one training step, which
+    calls it twice: for the forward, and again in backward for the input
+    projection's gradient (see `model._input_projection`). A read that finds
+    another file than the first read did, by its fstat identity, is a
+    DataError: the gradient would be taken at features the forward never saw.
+    """
+    first = None
+
+    def read():
+        nonlocal first
+        features, identity = _read_features(v)
+        if first is None:
+            first = identity
+        elif identity != first:
+            raise DataError(f"{v.path}: feature file changed during a training step, between "
+                            f"its forward read and its gradient read")
+        return features
+
+    return read
 
 
 def load_videos(entries, split, num_phases, downsample_limit=DOWNSAMPLE_LIMIT):
@@ -448,7 +475,7 @@ def load_videos(entries, split, num_phases, downsample_limit=DOWNSAMPLE_LIMIT):
     videos = [_read_video_header(e, num_phases, downsample_limit)
               for e in split_entries(entries, split)]
     for v in videos:
-        v.features = _read_features(v)
+        v.features = _read_features(v)[0]
     return videos
 
 
@@ -483,7 +510,7 @@ def train(manifest, model_config: ModelConfig, train_config: TrainConfig,
     """Run the epoch loop from `resume`, by default the seeded epoch-0 state, without
     changing it; returns (final Checkpoint, list of log lines)."""
     # every header, dim and annotation fault is raised here, before any compute;
-    # each step reads its video's features (`_read_features`) and drops them
+    # each step reads its video's features (`_step_reader`) and holds none of them
     videos = []
     for entry in split_entries(_resolve_entries(manifest), "train"):
         # the first video by id gives `vitals train` its input_dim
@@ -509,11 +536,10 @@ def train(manifest, model_config: ModelConfig, train_config: TrainConfig,
             losses, acc0, accf = [], [], []
             for vi in order:
                 v = videos[vi]
-                features = _read_features(v)
                 for p in params.values():
                     p.zero_grad()
                 with Tape() as tape:
-                    preds = model_forward(Tensor(features), params, model_config,
+                    preds = model_forward(_step_reader(v), params, model_config,
                                           training=True, rng=rng)
                     loss = total_loss(preds, v.labels, model_config, v.weights)
                 loss_val = float(loss.data)
@@ -522,7 +548,6 @@ def train(manifest, model_config: ModelConfig, train_config: TrainConfig,
                         f"non-finite loss {loss_val} at epoch {epoch}, video {v.video_id}"
                     )
                 backward(tape, loss)
-                del features  # backward freed the nodes that held them: gone before the next read
                 adam_step(params, adam, train_config.learning_rate,
                           train_config.weight_decay)
                 losses.append(loss_val)
@@ -576,7 +601,7 @@ def evaluate(ckpt: Checkpoint, manifest, split) -> EvaluationResult:
 
     def run(entry):  # one video is held at a time: loaded, run and dropped on return
         v = _read_video_header(entry, config.num_phases)
-        preds = infer(ckpt, _read_features(v), f"video {v.video_id}")
+        preds = infer(ckpt, _read_features(v)[0], f"video {v.video_id}")
         return [M.video_report(v.labels, preds.argmax(s), config.num_phases, v.video_id)
                 for s in range(preds.num_stages)]
 

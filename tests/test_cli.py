@@ -474,7 +474,9 @@ class TestPipeline:
                    "--out-checkpoint", str(tmp_path / "c.vtck")) == 0
         train_paths = [e.feature_path for e in load_manifest(dataset / "manifest.tsv")
                        if e.split == "train"]
-        assert sorted(loaded) == sorted(train_paths)
+        # one epoch, one step per video: read for the forward, and again for
+        # the input projection's gradient
+        assert sorted(loaded) == sorted(2 * train_paths)
 
     def test_train_config_with_unknown_key(self, tmp_path, dataset):
         bad = tmp_path / "bad.conf"
@@ -554,7 +556,8 @@ class TestBenchmarkTracer:
         assert proc.returncode == 0, proc.stderr
         snapshot = json.loads(trace.read_text())
         assert snapshot["counters"]["data.downsample.frames_in"] == vitals.data.DOWNSAMPLE_LIMIT + 1
-        assert snapshot["spans"]["data.load_features"][0] == 2  # the short video, once per epoch
+        # the short video, twice per step (forward and gradient), once per epoch
+        assert snapshot["spans"]["data.load_features"][0] == 4
         assert snapshot["spans"]["model.forward_train"][0] == 4
         assert run(*train_args(tmp_path / "plain.vtck")) == 0
         assert (tmp_path / "traced.vtck").read_bytes() == (tmp_path / "plain.vtck").read_bytes()

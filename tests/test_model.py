@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import vitals.model
+import vitals.tensor
 from vitals.errors import DataError, ParameterError, ShapeError
 from vitals.model import (ModelConfig, StagePredictions, cross_entropy_loss,
                           decoder_stage_forward, encoder_forward, init_params,
@@ -162,6 +163,124 @@ class TestForward:
         for s in range(1, c.num_decoders + 1):
             refined = decoder_stage_forward(preds.probs[s - 1], params, s, c).data
             np.testing.assert_array_equal(preds.logits[s].data, refined)
+
+
+class TestTrainingTape:
+    """What a training step's tape holds when backward starts: not the n x d
+    features, no second copy of the encoder block outputs, and no byte-wide
+    dropout mask."""
+
+    # d is none of h, K and L*h, and n*h = 222 is not a multiple of 8
+    CONFIG = dict(num_phases=3, input_dim=13, hidden_dim=6, num_layers=3, num_decoders=1,
+                  dropout_rate=0.3)
+    N = 37
+
+    @classmethod
+    def step(cls, tmp_path, by_reader=True):
+        """(tape, preds, params, reads) of one training forward and loss,
+        the features given as a reader of a feature file or as a Tensor."""
+        from vitals.data import FeatureSequence, load_features, save_features
+
+        c = ModelConfig(**cls.CONFIG)
+        rng = np.random.default_rng(0)
+        path = tmp_path / "v.vtaf"
+        save_features(path, FeatureSequence("v", rng.standard_normal((cls.N, c.input_dim))))
+        reads = []
+
+        def read():
+            reads.append(1)
+            return load_features(path).data
+
+        params = init_params(c, 0)
+        labels = rng.integers(0, c.num_phases, size=cls.N)
+        with Tape() as tape:
+            E = read if by_reader else Tensor(read())
+            preds = model_forward(E, params, c, training=True, rng=np.random.default_rng(1))
+            loss = total_loss(preds, labels, c)
+        return tape, loss, params, reads
+
+    @staticmethod
+    def held(node):
+        """The arrays a node's backward closure reaches: through tuples,
+        lists, tensors and the closures of the functions it holds."""
+        found, seen = [], set()
+
+        def walk(obj):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                found.append(obj)
+            elif isinstance(obj, Tensor):
+                walk(obj.data)
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    walk(item)
+            elif callable(obj):
+                for cell in getattr(obj, "__closure__", None) or ():
+                    try:
+                        walk(cell.cell_contents)
+                    except ValueError:  # empty cell
+                        pass
+
+        walk(node.backward_fn)
+        return found
+
+    def test_features_are_read_again_not_held(self, tmp_path):
+        tape, loss, _, reads = self.step(tmp_path)
+        d = self.CONFIG["input_dim"]
+        assert len(reads) == 1  # the forward's read
+        for node in tape.nodes:
+            assert all(a.ndim < 2 or a.shape[-1] != d for a in self.held(node)), node.op
+        backward(tape, loss)
+        assert len(reads) == 2  # and the input projection's gradient
+
+    def test_reader_gives_the_bits_a_tensor_gives(self, tmp_path):
+        runs = []
+        for by_reader in (True, False):
+            tape, loss, params, _ = self.step(tmp_path, by_reader)
+            backward(tape, loss)
+            runs.append((loss.data.tobytes(), [p.grad.tobytes() for p in params.values()]))
+        assert runs[0] == runs[1]
+
+    def test_dropout_masks_are_bit_packed(self, tmp_path):
+        tape, _, _, _ = self.step(tmp_path, by_reader=False)
+        n, h = self.N, self.CONFIG["hidden_dim"]
+        dropouts = [node for node in tape.nodes if node.op == "dropout"]
+        c = self.CONFIG
+        assert len(dropouts) == c["num_layers"] * (c["num_decoders"] + 1)
+        for node in dropouts:
+            assert sum(a.nbytes for a in self.held(node)) <= -(-n * h // 8)
+        for node in tape.nodes:
+            assert not any(a.dtype == bool and a.size == n * h for a in self.held(node)), node.op
+
+    def test_block_outputs_live_in_the_fusion_input(self, tmp_path):
+        tape, _, params, _ = self.step(tmp_path, by_reader=False)
+        fusion = next(node for node in tape.nodes
+                      if node.op == "matmul" and params["fusion.weight"] in node.inputs)
+        fused = next(a for a in self.held(fusion)
+                     if a.shape == (self.N, self.CONFIG["num_layers"] * self.CONFIG["hidden_dim"]))
+        convs = [node for node in tape.nodes if node.op == "dilated_conv1d"]
+        encoder_convs = convs[:self.CONFIG["num_layers"]]
+        # block 1 reads the input projection; each later block reads the
+        # previous block's output, which is a column slice of the fusion input
+        for node in encoder_convs[1:]:
+            x = next(a for a in self.held(node) if a.shape == (self.N, self.CONFIG["hidden_dim"]))
+            assert np.shares_memory(x, fused)
+        assert not np.shares_memory(
+            next(a for a in self.held(encoder_convs[0]) if a.shape[0] == self.N), fused)
+
+    def test_model_never_concatenates(self, tmp_path, monkeypatch):
+        def refuse(tensors):
+            raise AssertionError("concat_cols called")
+
+        monkeypatch.setattr(vitals.tensor, "concat_cols", refuse)
+        for by_reader in (True, False):
+            tape, loss, _, _ = self.step(tmp_path, by_reader)
+            backward(tape, loss)
+        c = ModelConfig(**self.CONFIG)
+        E = Tensor(np.ones((self.N, c.input_dim), dtype=np.float32))
+        model_forward(E, init_params(c, 0), c)
 
 
 def _dependency_cone_oracle(n, schedule):

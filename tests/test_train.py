@@ -8,13 +8,14 @@ import pytest
 
 import vitals.train
 from vitals import metrics as M
+from vitals.cli import main as cli_main
 from vitals.data import (DOWNSAMPLE_LIMIT, FeatureSequence, ManifestEntry, SyntheticSpec,
-                         downsample_indices, generate_synthetic_video, load_features,
-                         save_features, write_annotations, write_manifest)
+                         class_weights, downsample_indices, generate_synthetic_video,
+                         load_features, save_features, write_annotations, write_manifest)
 from vitals.errors import (ConfigError, CorruptionError, CoverageError, DataError, FormatError,
                            ParameterError, ShapeError, TrainingError)
-from vitals.model import ModelConfig, init_params, model_forward
-from vitals.tensor import Tensor
+from vitals.model import ModelConfig, init_params, model_forward, total_loss
+from vitals.tensor import Tape, Tensor, backward
 from vitals.train import (CONFIG_KEYS, AdamState, Checkpoint, TrainConfig, adam_step, evaluate,
                           infer, load_checkpoint, load_manifest, load_videos,
                           model_config_from_train, parse_config, save_checkpoint)
@@ -758,7 +759,8 @@ class TestReadsPerStep:
     def test_each_step_reads_its_video(self, tmp_path, calls):
         manifest = make_dataset(tmp_path)
         run_train(manifest, small_model(), TrainConfig(epochs=3))
-        assert sorted(calls["reads"]) == sorted(3 * ["video000.vtaf", "video001.vtaf",
+        # twice per step: for the forward, and for the input projection's gradient
+        assert sorted(calls["reads"]) == sorted(6 * ["video000.vtaf", "video001.vtaf",
                                                      "video002.vtaf"])
         assert calls["forwards"] == 9
 
@@ -801,6 +803,102 @@ class TestReadsPerStep:
                                                        TrainConfig(epochs=2, seed=0)))
         assert len(log) == 2
         assert peak < 2 * n * d * 4
+
+
+def write_videos(tmp_path, lengths, d):
+    """Train entries of standard-normal n x d videos with three phases."""
+    entries = []
+    for i, n in enumerate(lengths):
+        fpath, apath = tmp_path / f"v{i}.vtaf", tmp_path / f"v{i}.txt"
+        save_features(fpath, FeatureSequence(f"v{i}", np.random.default_rng(i)
+                                             .standard_normal((n, d), dtype=np.float32)))
+        write_annotations(apath, np.arange(n) * 3 // n)
+        entries.append(ManifestEntry("train", fpath, apath))
+    return entries
+
+
+class TestStepHoldsNoFeatures:
+    """A training step reads its features for the forward and again for the
+    input projection's gradient, and holds them across neither."""
+
+    def test_bits_match_a_loop_that_holds_the_features(self, tmp_path):
+        # L = 3 blocks with dropout; n*h is not a multiple of 8 for any video;
+        # v2 is above the downsample limit, so it is read through read_feature_rows
+        entries = write_videos(tmp_path, (61, 90, 203), 12)
+        config = small_model(input_dim=12, hidden_dim=5, num_layers=3, num_decoders=2)
+        train_config = TrainConfig(epochs=2, seed=4, downsample_limit=100)
+        ck, _ = run_train(entries, config, train_config)
+
+        videos = load_videos(entries, "train", config.num_phases, train_config.downsample_limit)
+        assert [len(v.features) for v in videos] == [61, 90, 100]
+        rng = np.random.default_rng(train_config.seed)
+        params = init_params(config, rng)
+        adam = AdamState()
+        for _ in range(train_config.epochs):
+            for vi in rng.permutation(len(videos)):
+                v = videos[vi]
+                for p in params.values():
+                    p.zero_grad()
+                with Tape() as tape:
+                    preds = model_forward(Tensor(v.features), params, config, training=True,
+                                          rng=rng)
+                    loss = total_loss(preds, v.labels, config,
+                                      class_weights(v.labels, config.num_phases))
+                backward(tape, loss)
+                adam_step(params, adam, train_config.learning_rate, train_config.weight_decay)
+        ref = Checkpoint(config, {k: p.data.copy() for k, p in params.items()}, adam,
+                         rng.bit_generator.state, train_config.epochs)
+        save_checkpoint(tmp_path / "train.vtck", ck)
+        save_checkpoint(tmp_path / "ref.vtck", ref)
+        assert (tmp_path / "train.vtck").read_bytes() == (tmp_path / "ref.vtck").read_bytes()
+
+    @pytest.mark.parametrize("limit", [DOWNSAMPLE_LIMIT, 30], ids=["whole", "downsampled"])
+    def test_file_rewritten_within_a_step(self, tmp_path, monkeypatch, limit):
+        entries = write_videos(tmp_path, (50,), 8)
+        path = entries[0].feature_path
+        original = load_features(path)
+        other = FeatureSequence("v0", -original.data)  # same shape, other values
+
+        def write_original():
+            # dated well before the run, as a corpus is: a rewrite within the file
+            # system's timestamp granularity of the first write keeps its mtime
+            save_features(path, original)
+            stat = os.stat(path)
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns - 10**9))
+
+        write_original()
+        real_total_loss = vitals.train.total_loss
+
+        def rewrite_then_loss(*args, **kwargs):  # after the forward's read, before backward's
+            save_features(path, other)
+            return real_total_loss(*args, **kwargs)
+
+        monkeypatch.setattr(vitals.train, "total_loss", rewrite_then_loss)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: feature file changed during a training step")):
+            run_train(entries, small_model(), TrainConfig(epochs=1, downsample_limit=limit))
+
+        if limit == DOWNSAMPLE_LIMIT:  # the CLI's limit
+            write_original()
+            write_manifest(tmp_path / "manifest.tsv", entries)
+            config = tmp_path / "t.conf"
+            config.write_text("epochs = 1\nlayers = 2\ndecoders = 1\nhidden_dim = 8\n"
+                              "phases = 3\n")
+            ckpt = tmp_path / "c.vtck"
+            assert cli_main(["train", "--manifest", str(tmp_path / "manifest.tsv"), "--config",
+                             str(config), "--out-checkpoint", str(ckpt)]) == 1
+            assert not ckpt.exists()
+
+    def test_step_peak(self, tmp_path, traced_peak):
+        # one step over a 1000 x 1024 video (4.1 MB); holding the features
+        # across the step peaked at 1.54 payloads, reading them again at 1.11
+        n, d = 1000, 1024
+        entries = write_videos(tmp_path, (n,), d)
+        config = small_model(input_dim=d, hidden_dim=16, num_layers=3, num_decoders=1)
+        (_, log), peak = traced_peak(lambda: run_train(entries, config,
+                                                       TrainConfig(epochs=1, seed=0)))
+        assert len(log) == 1
+        assert peak < 1.3 * n * d * 4
 
 
 class TestEvaluate:
