@@ -4,8 +4,8 @@ A step runs forward on a tape, and the tape holds, until backward consumes
 it, every array some backward still reads. This script runs one step of the
 paper config (d=2048, h=64, L=10 blocks, N=3 decoders, K=11) on a short
 video and prints the distinct bytes the tape holds when backward starts, by
-op, the way the benchmark's tape walk counts them: each buffer once, under
-the first op whose node reaches it.
+op: each buffer once, under the first op whose node reaches it through its
+inputs, its closure and the functions in that closure.
 
 It runs the step twice: with the features given as a Tensor, which the
 input projection's matmul node then holds for its weight gradient, and as
@@ -44,22 +44,31 @@ def base(a):
     return a
 
 
-def arrays(obj):
-    """The arrays a node reaches one level deep: its inputs and its closure."""
+def arrays(obj, visited):
+    """The arrays obj reaches: through lists, tuples, tensors and the
+    closures of the functions it holds (a reader keeps a Tensor's features)."""
+    if id(obj) in visited:
+        return
+    visited.add(id(obj))
     if isinstance(obj, np.ndarray):
         yield obj
     elif isinstance(obj, (list, tuple)):
         for item in obj:
-            yield from arrays(item)
+            yield from arrays(item, visited)
     elif isinstance(getattr(obj, "data", None), np.ndarray):
         yield obj.data
+    elif callable(obj):
+        for cell in getattr(obj, "__closure__", None) or ():
+            try:
+                yield from arrays(cell.cell_contents, visited)
+            except ValueError:  # an empty cell
+                pass
 
 
 def held_by_op(tape):
     seen, by_op = set(), {}
     for node in tape.nodes:
-        cells = [c.cell_contents for c in node.backward_fn.__closure__ or ()]
-        for a in map(base, arrays([node.inputs, cells])):
+        for a in map(base, arrays([node.inputs, node.backward_fn], set())):
             if id(a) not in seen:
                 seen.add(id(a))
                 op = "(parameters)" if id(a) in parameter_ids else node.op

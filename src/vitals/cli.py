@@ -166,8 +166,7 @@ def cmd_eval(args):
 def cmd_predict(args):
     _require_out_dir("--out", args.out)  # the stage files go beside it
     ckpt = load_checkpoint(args.checkpoint)
-    seq = load_features(args.features)
-    preds = infer(ckpt, seq.data, args.features)
+    preds = infer(ckpt, lambda: load_features(args.features).data, args.features)
     write_annotations(args.out, preds.argmax(-1))
     if args.dump_stages:
         stem = Path(args.out)

@@ -129,8 +129,8 @@ class _ReluMarginTape(T.Tape):
 
 def _check_end_to_end(rng, seed):
     # smooth_weight 0: the smoothing term's declared derivative stops at the
-    # previous frame, so its finite-difference check runs separately with a
-    # constant reference; the end-to-end check exercises the CE path
+    # previous frame, so it is checked alone; E is a constant, as the model's
+    # features are, so the input projection is checked through its weight
     config = ModelConfig(num_phases=3, input_dim=5, hidden_dim=8, num_layers=2,
                          num_decoders=1, dropout_rate=0.0, smooth_weight=0.0)
     n = 12
@@ -142,7 +142,7 @@ def _check_end_to_end(rng, seed):
         for p in params.values():
             p.data = p.data.astype(np.float64)
         labels = rng.integers(0, config.num_phases, size=n)
-        E = _t(rng, n, config.input_dim)
+        E = Tensor(rng.standard_normal((n, config.input_dim)))
 
         def fn(e, *param_values):
             preds = model_forward(e, dict(zip(params, param_values)), config, training=False)

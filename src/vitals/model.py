@@ -23,6 +23,7 @@ from .tensor import Tensor
 
 # parameter values one model may hold: 4 GiB of float32 (the paper config holds 1,291,820)
 MODEL_MAX_VALUES = 2**30
+MODEL_MAX_TENSORS = 2**21  # parameter tensors, one Python object each (the paper config: 252)
 
 
 @dataclass
@@ -45,12 +46,13 @@ class ModelConfig:
             value = getattr(self, name)
             if type(value) is not int or not low <= value < 2**32:
                 raise ParameterError(f"{name} must be an integer in [{low}, 2**32), got {value!r}")
-        values = num_parameter_values(self)  # refused before init_params allocates them
-        if values > MODEL_MAX_VALUES:
+        values, tensors = num_parameter_values(self), num_parameter_tensors(self)
+        if values > MODEL_MAX_VALUES or tensors > MODEL_MAX_TENSORS:  # before init_params
             raise ParameterError(f"input_dim {self.input_dim}, hidden_dim {self.hidden_dim}, "
                                  f"num_layers {self.num_layers}, num_decoders {self.num_decoders} "
                                  f"and num_phases {self.num_phases} give {values} parameter "
-                                 f"values, above the limit of {MODEL_MAX_VALUES}")
+                                 f"values in {tensors} tensors, above the limit of "
+                                 f"{MODEL_MAX_VALUES} values or {MODEL_MAX_TENSORS} tensors")
         if not 0 <= self.dropout_rate < 1:
             raise ParameterError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not (math.isfinite(self.smooth_weight) and self.smooth_weight >= 0):
@@ -59,8 +61,11 @@ class ModelConfig:
             raise ParameterError(f"smooth_clamp must be > 0, got {self.smooth_clamp}")
 
     def schedule(self, n: int):
-        """Per-block window/dilation sizes: 2^i for i=1..L, capped at n."""
-        return [min(2 ** i, n) for i in range(1, self.num_layers + 1)]
+        """Per-block window/dilation sizes: 2^i for i=1..L, capped at n; each doubles the last."""
+        sizes = [min(2, n)]
+        while len(sizes) < self.num_layers:
+            sizes.append(min(2 * sizes[-1], n))
+        return sizes
 
 
 @dataclass
@@ -157,28 +162,25 @@ def _block(x, query, params, prefix, size, config, training, rng, out=None):
 
 
 def _input_projection(E, weight, config: ModelConfig):
-    """E @ weight, the n x h input of the first encoder block.
-
-    E is an n x d Tensor, or a zero-argument function that returns the same
-    n x d features at every call. For a function the product is taken from
-    one call's array, which is then dropped: the node keeps the function,
-    and backward calls it again for the weight's gradient E.T @ dout, the
-    whole-array product a matmul node forms from the array it holds, so the
-    bits are the same.
-    """
-    features = E.data if isinstance(E, Tensor) else E()
+    """E @ weight, the n x h input of the first encoder block. E is the n x d
+    features: a zero-argument function that returns the same array at every
+    call, or a constant Tensor, read as `lambda: E.data`. The product is taken
+    from one read's array, which is then dropped; the node keeps the reader,
+    and backward reads again for the weight's gradient E.T @ dout."""
+    if isinstance(E, Tensor) and T._tracked(E):
+        raise ParameterError("the features are a constant of the model: they take no gradient")
+    read = (lambda: E.data) if isinstance(E, Tensor) else E
+    features = read()
     if features.ndim != 2 or features.shape[1] != config.input_dim:
         raise ShapeError(f"expected n x {config.input_dim} features, got {features.shape}")
-    if isinstance(E, Tensor):
-        return T.matmul(E, weight)
     out = Tensor(features @ weight.data)
     del features
-    return T.record("matmul", [weight], out, lambda dout: (E().T @ dout,))
+    return T.record("matmul", [weight], out, lambda dout: (read().T @ dout,))
 
 
 def encoder_forward(E, params, config: ModelConfig, training=False, rng=None):
-    """Initial prediction pass: n x K phase logits from n x d features E,
-    a Tensor or a reader of them (see `_input_projection`).
+    """Initial prediction pass: n x K phase logits from n x d features E, a
+    reader of them or a constant Tensor (see `_input_projection`).
 
     The fusion head maps all block outputs, side by side, linearly to phase
     logits. They are side by side from the start: one n x (L*h) array holds
@@ -214,8 +216,8 @@ def decoder_stage_forward(prev_probs: Tensor, params, stage: int, config: ModelC
 
 
 def model_forward(E, params, config: ModelConfig, training=False, rng=None):
-    """Full pass: encoder stage 0 plus N chained decoder refinements. E is
-    the n x d features, a Tensor or a reader of them (see `_input_projection`)."""
+    """Full pass: encoder stage 0 plus N chained decoder refinements over the
+    features E, a reader of them or a constant Tensor (see `_input_projection`)."""
     logits = encoder_forward(E, params, config, training, rng)
     preds = StagePredictions()
     preds.logits.append(logits)

@@ -171,8 +171,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
     out = Tensor(a.data @ b.data)
-    # each operand is kept only for the other's gradient, and an untracked
-    # operand (the input features, say) gets none
+    # each operand is kept only for the other's gradient, if that is wanted
     a_data = a.data if _tracked(b) else None
     b_data = b.data if _tracked(a) else None
 

@@ -579,17 +579,21 @@ class EvaluationResult:  # indexed by stage: 0 is the encoder, -1 the final stag
     aggregates: list     # per stage, the AggregateReport of its reports
 
 
-def infer(ckpt: Checkpoint, features, source) -> StagePredictions:
-    """Frozen-parameter forward of a checkpoint over an n x d feature matrix.
-
-    `source` names the features in the error raised on a dim mismatch.
-    """
+def infer(ckpt: Checkpoint, read, source) -> StagePredictions:
+    """Frozen-parameter forward of a checkpoint over the n x d features the
+    zero-argument `read` returns (see `model._input_projection`); a dim
+    mismatch is raised from the read, before any compute, naming `source`."""
     config = ckpt.model_config
-    if features.shape[1] != config.input_dim:
-        raise ConfigError(f"{source}: feature dim {features.shape[1]} != "
-                          f"checkpoint input_dim {config.input_dim}")
+
+    def checked():
+        features = read()
+        if features.shape[1] != config.input_dim:
+            raise ConfigError(f"{source}: feature dim {features.shape[1]} != "
+                              f"checkpoint input_dim {config.input_dim}")
+        return features
+
     params = {k: Tensor(a) for k, a in ckpt.params.items()}
-    return model_forward(Tensor(features), params, config, training=False)
+    return model_forward(checked, params, config, training=False)
 
 
 def evaluate(ckpt: Checkpoint, manifest, split) -> EvaluationResult:
@@ -601,7 +605,7 @@ def evaluate(ckpt: Checkpoint, manifest, split) -> EvaluationResult:
 
     def run(entry):  # one video is held at a time: loaded, run and dropped on return
         v = _read_video_header(entry, config.num_phases)
-        preds = infer(ckpt, _read_features(v)[0], f"video {v.video_id}")
+        preds = infer(ckpt, lambda: _read_features(v)[0], f"video {v.video_id}")
         return [M.video_report(v.labels, preds.argmax(s), config.num_phases, v.video_id)
                 for s in range(preds.num_stages)]
 

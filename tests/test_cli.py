@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 import vitals
 import vitals.cli
 import vitals.data
+import vitals.tensor
 import vitals.train
 from vitals import metrics as M
 from vitals.cli import main, read_spec_file, write_spec_file
@@ -138,6 +141,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "above the limit of 1073741824" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "c.vtck").exists()
+
+    def test_model_with_too_many_tensors(self, tmp_path, dataset, capsys, monkeypatch):
+        # 5.5e8 values, under the value limit, but 300000003 parameter tensors;
+        # init_params raises, so a config the check lets through builds none
+        def no_params(config, seed=0):
+            raise AssertionError("init_params reached")
+
+        monkeypatch.setattr(vitals.train, "init_params", no_params)
+        config = write_config(tmp_path / "t.conf", epochs=1, layers=50000000, decoders=0,
+                              hidden_dim=1)
+        start = time.perf_counter()
+        assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
+                   str(config), "--out-checkpoint", str(tmp_path / "c.vtck")) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "300000003 tensors" in err
         assert not (tmp_path / "c.vtck").exists()
 
     def test_train_config_without_phases(self, tmp_path, dataset, capsys):
@@ -443,6 +463,31 @@ class TestPipeline:
         assert len(result.reports) == 3
         assert report.read_text() == M.format_report(result.reports[-1], result.aggregates[-1])
         assert capsys.readouterr().out == M.summary_line(result.aggregates[-1]) + "\n"
+
+    def test_predict_drops_the_features_before_the_encoder(self, tmp_path, dataset,
+                                                            monkeypatch):
+        ckpt = tmp_path / "model.vtck"
+        assert run("train", "--manifest", str(dataset / "manifest.tsv"), "--config",
+                   str(write_config(tmp_path / "t.conf", epochs=1)),
+                   "--out-checkpoint", str(ckpt)) == 0
+        refs, alive = [], []
+
+        def loading(path):
+            seq = load_features(path)
+            refs.append(weakref.ref(seq.data))
+            return seq
+
+        conv = vitals.tensor.dilated_conv1d
+
+        def noting(*args):
+            alive.append(refs[0]() is not None)
+            return conv(*args)
+
+        monkeypatch.setattr(vitals.cli, "load_features", loading)
+        monkeypatch.setattr(vitals.tensor, "dilated_conv1d", noting)
+        assert run("predict", "--checkpoint", str(ckpt), "--features",
+                   str(dataset / "video000.vtaf"), "--out", str(tmp_path / "p.txt")) == 0
+        assert len(refs) == 1 and alive and not alive[0]
 
     def test_predict_feature_dim_mismatch(self, tmp_path, dataset):
         manifest = str(dataset / "manifest.tsv")

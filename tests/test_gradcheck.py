@@ -91,6 +91,26 @@ def test_every_op_of_a_training_step_has_a_check():
     assert ops <= set(gc.OPS), ops - set(gc.OPS)
 
 
+def test_end_to_end_checks_the_input_projection_node():
+    # the features are a constant, as in training: the check reaches the
+    # input projection's node through the weight, and a broken node fails it
+    fn, inputs = gc.CHECKS["end_to_end"](np.random.default_rng(1000), 0)
+    E, weight = inputs[:2]
+    assert not E.requires_grad and weight.data.shape == (E.data.shape[1], 8)
+
+    def broken(*args):
+        tape = T.active_tape()
+        start = 0 if tape is None else len(tape.nodes)
+        out = fn(*args)
+        if tape is not None:
+            (node,) = [n for n in tape.nodes[start:] if n.inputs == [weight]]
+            assert node.op == "matmul"
+            node.backward_fn = lambda dout, bwd=node.backward_fn: tuple(g * 1.5 for g in bwd(dout))
+        return out
+
+    assert gc.finite_difference_check(broken, inputs, seed=0) > gc.THRESHOLD
+
+
 @pytest.mark.parametrize("op", gc.OPS)
 def test_each_op_check_records_its_op(op):
     fn, inputs = gc.CHECKS[op](np.random.default_rng(0), 0)

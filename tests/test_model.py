@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -27,6 +28,26 @@ class TestConfig:
         assert c.schedule(1000) == [2, 4, 8, 16, 32, 64]
         assert c.schedule(10) == [2, 4, 8, 10, 10, 10]
         assert c.schedule(1) == [1] * 6
+        for layers in (1, 2, 5, 12):
+            c = small_config(num_layers=layers)
+            for n in range(70):
+                assert c.schedule(n) == [min(2 ** i, n) for i in range(1, layers + 1)]
+
+    def test_deep_schedule_takes_linear_time(self):
+        # 2 ** i for every i took 7.1 s at L=80000, once per stage per forward
+        c = small_config(num_layers=80000, hidden_dim=1, num_decoders=0)
+        start = time.perf_counter()
+        sizes = c.schedule(15000)
+        assert time.perf_counter() - start < 0.5
+        assert sizes[:13] == [2 ** i for i in range(1, 14)] and set(sizes[13:]) == {15000}
+
+    def test_tensor_limit_is_inclusive(self, monkeypatch):
+        c = small_config()
+        monkeypatch.setattr(vitals.model, "MODEL_MAX_TENSORS", num_parameter_tensors(c))
+        assert small_config() == c
+        monkeypatch.setattr(vitals.model, "MODEL_MAX_TENSORS", num_parameter_tensors(c) - 1)
+        with pytest.raises(ParameterError, match=f"in {num_parameter_tensors(c)} tensors"):
+            small_config()
 
     def test_roundtrip(self):
         c = small_config()
@@ -269,6 +290,29 @@ class TestTrainingTape:
             assert np.shares_memory(x, fused)
         assert not np.shares_memory(
             next(a for a in self.held(encoder_convs[0]) if a.shape[0] == self.N), fused)
+
+    def test_one_projection_node_for_both_forms(self, tmp_path):
+        # the reader and the Tensor record the same node: a matmul on the weight alone
+        for by_reader in (True, False):
+            tape, _, params, _ = self.step(tmp_path, by_reader)
+            assert tape.nodes[0].op == "matmul"
+            assert tape.nodes[0].inputs == [params["input_proj.weight"]]
+            assert sum(node.inputs == [params["input_proj.weight"]] for node in tape.nodes) == 1
+
+    @pytest.mark.parametrize("how", ["requires_grad", "on_the_tape"])
+    def test_features_that_want_a_gradient_are_refused(self, how):
+        c = ModelConfig(**self.CONFIG)
+        params = init_params(c, 0)
+        data = np.ones((self.N, c.input_dim), dtype=np.float32)
+        with Tape():
+            if how == "requires_grad":
+                E = Tensor(data, requires_grad=True)
+            else:
+                E = vitals.tensor.scale(Tensor(data, requires_grad=True), 2.0)
+            with pytest.raises(ParameterError, match="constant of the model"):
+                model_forward(E, params, c, training=True, rng=np.random.default_rng(1))
+        # outside a tape no gradient is wanted, so nothing is refused
+        model_forward(Tensor(data, requires_grad=True), params, c)
 
     def test_model_never_concatenates(self, tmp_path, monkeypatch):
         def refuse(tensors):

@@ -1,6 +1,7 @@
 import os
 import re
 import time
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -920,12 +921,42 @@ class TestEvaluate:
         ck, _ = run_train(manifest, config, TrainConfig(epochs=2, seed=0))
         res = evaluate(ck, manifest, "train")
         videos = load_videos(load_manifest(manifest), "train", config.num_phases)
-        preds = [infer(ck, v.features, v.video_id) for v in videos]
+        preds = [infer(ck, lambda v=v: v.features, v.video_id) for v in videos]
         assert len(res.reports) == len(res.aggregates) == config.num_decoders + 1
         for s, (reports, aggregate) in enumerate(zip(res.reports, res.aggregates)):
             assert reports == [M.video_report(v.labels, p.argmax(s), config.num_phases, v.video_id)
                                for v, p in zip(videos, preds)]
             assert aggregate == M.aggregate(reports)
+
+    def test_infer_drops_the_features_before_the_encoder(self, tmp_path, monkeypatch):
+        ck, _ = self.trained(tmp_path)
+        refs, alive = [], []
+
+        def read():
+            data = load_features(tmp_path / "video000.vtaf").data
+            refs.append(weakref.ref(data))
+            return data
+
+        conv = vitals.tensor.dilated_conv1d
+
+        def noting(*args):
+            alive.append(refs[0]() is not None)
+            return conv(*args)
+
+        monkeypatch.setattr(vitals.tensor, "dilated_conv1d", noting)
+        preds = infer(ck, read, "video000")
+        assert len(refs) == 1 and alive and not alive[0]
+        assert preds.num_stages == 2
+
+    def test_infer_refuses_another_dim_before_any_compute(self, tmp_path, monkeypatch):
+        ck, _ = self.trained(tmp_path)
+
+        def refuse(*args):
+            raise AssertionError("compute reached")
+
+        monkeypatch.setattr(vitals.tensor, "dilated_conv1d", refuse)
+        with pytest.raises(ConfigError, match="^wide: feature dim 9 != checkpoint input_dim 8$"):
+            infer(ck, lambda: np.zeros((5, 9), np.float32), "wide")
 
     def test_empty_split_errors(self, tmp_path):
         manifest = make_dataset(tmp_path, n_train=2, n_test=0)
