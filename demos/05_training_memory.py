@@ -11,6 +11,15 @@ It runs the step twice: with the features given as a Tensor, which the
 input projection's matmul node then holds for its weight gradient, and as
 `train()` gives them, a reader of the feature file that backward calls
 again. The last line is the tracemalloc peak of one whole `train()` step.
+
+Each block holds one n x h array, its input, under dilated_conv1d. relu
+keeps only its bit-packed gate (0.13 MB over all 40 blocks, against
+4.10 MB when it kept its output), and the attention node reaches no
+activation but the block input and the decoder's stage embedding, through
+the rebuild that recomputes the relu output in backward; both are
+counted under the conv nodes, which come first and hold them anyway. With the
+features read the tape holds 19.49 MB (23.46 MB when relu outputs were
+held).
 """
 
 import shutil

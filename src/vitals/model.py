@@ -149,11 +149,21 @@ def init_params(config: ModelConfig, seed=0):
 
 def _block(x, query, params, prefix, size, config, training, rng, out=None):
     """Conv -> attention -> residual. query=None means self-attention. With
-    `out`, an array of x's shape, the residual sum is written into it."""
-    f = T.relu(T.add_row(T.dilated_conv1d(x, params[f"{prefix}.conv.weight"], size),
-                         params[f"{prefix}.conv.bias"]))
+    `out`, an array of x's shape, the residual sum is written into it. No
+    node holds the relu output f: attention's backward rebuilds it from x,
+    which the conv node holds, by the forward's calls in order, so the bits
+    are the same; a decoder's rebuild returns the stage embedding as u."""
+    kernel, bias = params[f"{prefix}.conv.weight"], params[f"{prefix}.conv.bias"]
+    f = T.relu(T.add_row(T.dilated_conv1d(x, kernel, size), bias))
+    xd, kd, bd = x.data, kernel.data, bias.data
+    qd = None if query is None else query.data
+
+    def rebuild():  # dilated_conv1d, add_row and relu, recording nothing
+        fd = np.maximum(T.conv(xd, kd, size) + bd[None, :], 0)
+        return (fd if qd is None else qd), fd
+
     maps = (params[f"{prefix}.attn.{p}"] for p in ("wq", "wk", "wv", "wo"))
-    a = T.dropout(T.chunked_attention(f if query is None else query, f, size, *maps),
+    a = T.dropout(T.chunked_attention(f if query is None else query, f, size, *maps, rebuild),
                   config.dropout_rate, rng, training)
     if out is None:
         return T.add(x, a)

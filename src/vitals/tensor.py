@@ -211,8 +211,11 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0). A recorded node keeps the gate y > 0 bit-packed, not y; an
+    untracked input packs nothing, so inference builds no gate."""
     y = np.maximum(x.data, 0)  # +0.0 for -0.0, NaN stays NaN: y > 0 exactly where x > 0
-    return record("relu", [x], Tensor(y), lambda dout: (dout * (y > 0),))
+    packed = np.packbits(y > 0) if _tracked(x) else None
+    return record("relu", [x], Tensor(y), lambda dout: (dout * _unpacked(packed, dout),))
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -268,18 +271,17 @@ def dropout(x: Tensor, rate: float, rng=None, training: bool = True) -> Tensor:
     if not isinstance(rng, np.random.Generator):
         raise ParameterError("training dropout draws its mask from a np.random.Generator, "
                              f"got {type(rng).__name__}")
-    shape = x.data.shape
-    keep = rng.random(shape) >= rate
+    keep = rng.random(x.data.shape) >= rate
     dtype = x.data.dtype.type
     kept = dtype(1) / dtype(1 - rate)  # the value a float mask would hold where kept
     out = Tensor(_masked(x.data, keep, kept))
     packed = np.packbits(keep)
+    return record("dropout", [x], out, lambda dout: (_masked(dout, _unpacked(packed, dout), kept),))
 
-    def bwd(dout):
-        keep = np.unpackbits(packed, count=dout.size).view(bool).reshape(shape)
-        return (_masked(dout, keep, kept),)
 
-    return record("dropout", [x], out, bwd)
+def _unpacked(packed, like):
+    """The bool array of like's shape that np.packbits packed."""
+    return np.unpackbits(packed, count=like.size).view(bool).reshape(like.shape)
 
 
 def _masked(a, keep, kept):
@@ -296,6 +298,22 @@ def _positive_int(name, value):
     return int(value)
 
 
+def conv(xd, kernel, d):
+    """The forward arithmetic of `dilated_conv1d` on plain arrays, unchecked:
+    an op and a recomputation that both call it get the same bits."""
+    n = len(xd)
+    # y[t] += x[t-d] @ k0 + x[t+d] @ k2 over the k frames with such a
+    # neighbour (none once d >= n). numpy multiplies a lone row (k = 1) by
+    # gemv, whose sums can differ in the last bit from the same row inside a
+    # gemm, so take it from two rows
+    k = max(n - d, 0)
+    m = max(k, 2)
+    y = xd @ kernel[1]
+    y[n - k:] += (xd[:m] @ kernel[0])[:k]
+    y[:k] += (xd[n - m:] @ kernel[2])[m - k:]
+    return y
+
+
 def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int) -> Tensor:
     """Temporal conv over an n x c_in sequence, kernel 3 x c_in x c_out.
 
@@ -308,19 +326,9 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int) -> Tensor:
         raise ShapeError(
             f"kernel must be 3 x c_in x c_out with c_in={x.data.shape[1]}, got {kernel.data.shape}"
         )
-    n = x.data.shape[0]
-    xd = x.data
-    k0, k1, k2 = kernel.data[0], kernel.data[1], kernel.data[2]
-    # y[t] += x[t-d] @ k0 + x[t+d] @ k2 over the k frames with such a
-    # neighbour (none once d >= n). numpy multiplies a lone row (k = 1) by
-    # gemv, whose sums can differ in the last bit from the same row inside a
-    # gemm, so take it from two rows
-    k = max(n - d, 0)
-    m = max(k, 2)
-    y = xd @ k1
-    y[n - k:] += (xd[:m] @ k0)[:k]
-    y[:k] += (xd[n - m:] @ k2)[m - k:]
-    out = Tensor(y)
+    xd, (k0, k1, k2) = x.data, kernel.data
+    n, k = len(xd), max(len(xd) - d, 0)  # k frames have a neighbour d away
+    out = Tensor(conv(xd, kernel.data, d))
 
     def bwd(dout):
         # dk contracts over all n frames against zero-padded shifted copies of
@@ -369,7 +377,7 @@ def _chunk_weights(qs, ks, buf, inv_scale, mask, row_max=None, row_sum=None):
 
 
 def chunked_attention(u: Tensor, f: Tensor, window: int, wq: Tensor, wk: Tensor,
-                      wv: Tensor, wo: Tensor) -> Tensor:
+                      wv: Tensor, wo: Tensor, rebuild=None) -> Tensor:
     """Scaled dot-product attention of q = u @ wq over k = f @ wk and
     v = f @ wv, inside consecutive chunks of `window` rows, projected by wo.
 
@@ -377,14 +385,20 @@ def chunked_attention(u: Tensor, f: Tensor, window: int, wq: Tensor, wk: Tensor,
     Each projection is computed straight into a buffer of whole w x h
     chunks whose rows past n are zeroed. Chunks are computed a group at a
     time, at most `_GROUP_SCORES` scores per group, through one reused
-    buffer. The node keeps u, f, the four maps and each row's softmax max
-    and sum, not the projections or the attention output: backward
+    buffer. The node keeps `rebuild`, the four maps and each row's softmax
+    max and sum, not the projections or the attention output: backward
     recomputes them the same way, bit for bit, rebuilding each group's
     weights from the max and sum and its output from the weights. When
     every chunk fits in one group, the node keeps that group's weights and
     backward rebuilds none.
+
+    Backward reaches u and f only through `rebuild()`, which must return
+    arrays bit-equal to theirs; left out, it returns u's and f's own.
     """
-    pairs = [(src.data, wt.data) for src, wt in ((u, wq), (f, wk), (f, wv))]  # q, k, v
+    ud, fd = u.data, f.data
+    rebuild = rebuild or (lambda: (ud, fd))
+    maps = wqd, wkd, wvd = wq.data, wk.data, wv.data
+    pairs = list(zip((ud, fd, fd), maps))  # q, k, v
     for src, wt in pairs:
         if src.ndim != 2 or wt.ndim != 2 or src.shape[1] != wt.shape[0]:
             raise ShapeError(f"matmul shape mismatch: {src.shape} x {wt.shape}")
@@ -407,8 +421,7 @@ def chunked_attention(u: Tensor, f: Tensor, window: int, wq: Tensor, wk: Tensor,
     groups = [(slice(c0, min(c0 + per_group, nc)), rem if c0 + per_group >= nc else 0)
               for c0 in range(0, nc, per_group)]
     inv_scale = 1.0 / math.sqrt(h)
-    (ud, wqd), (fd, wkd), (_, wvd) = pairs
-    dtype = np.result_type(ud, fd, wqd, wkd, wvd)
+    dtype = np.result_type(ud, fd, *maps)
 
     def chunks(fill, dtype):
         """An nc x w x h buffer: its first n rows as `fill` writes them, then zeros."""
@@ -417,14 +430,14 @@ def chunked_attention(u: Tensor, f: Tensor, window: int, wq: Tensor, wk: Tensor,
         buf[n:] = 0.0
         return buf.reshape(nc, w, h)
 
-    def projections():
+    def projections(ud, fd):
         return (chunks(lambda r: np.matmul(src, wt, out=r), np.result_type(src, wt))
-                for src, wt in pairs)
+                for src, wt in zip((ud, fd, fd), maps))
 
     def rows(c):
         return c.reshape(nc * w, h)[:n]
 
-    qs, ks, vs = projections()
+    qs, ks, vs = projections(ud, fd)
     buf = np.empty((per_group, w, w), dtype)
     out = np.empty((nc, w, h), dtype)
     stats = []  # per group: each row's softmax max and sum
@@ -439,7 +452,8 @@ def chunked_attention(u: Tensor, f: Tensor, window: int, wq: Tensor, wk: Tensor,
     del out
 
     def bwd(dy):
-        qs, ks, vs = projections()
+        ud, fd = rebuild()
+        qs, ks, vs = projections(ud, fd)
         do = chunks(lambda r: np.matmul(dy, wod.T, out=r), np.result_type(dy, wod))
         o, dq, dk, dv = (np.empty((nc, w, h), dtype) for _ in range(4))
         ds_buf = np.empty((per_group, w, w), dtype)

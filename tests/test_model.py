@@ -7,6 +7,7 @@ import pytest
 
 import vitals.model
 import vitals.tensor
+from vitals import tensor as T
 from vitals.errors import DataError, ParameterError, ShapeError
 from vitals.model import (ModelConfig, StagePredictions, cross_entropy_loss,
                           decoder_stage_forward, encoder_forward, init_params,
@@ -314,6 +315,38 @@ class TestTrainingTape:
         # outside a tape no gradient is wanted, so nothing is refused
         model_forward(Tensor(data, requires_grad=True), params, c)
 
+    def test_no_node_holds_a_relu_output(self, tmp_path, monkeypatch):
+        """Each relu node holds its gate bit-packed, and no node reaches a relu
+        output: each attention node reaches no n x h array but its block's
+        input, which the conv node holds anyway, and in a decoder the stage
+        embedding; backward rebuilds the relu output from them."""
+        relu, outputs = vitals.tensor.relu, []
+
+        def kept_relu(x):  # keeps each output alive, so no other array takes its id
+            y = relu(x)
+            outputs.append(y.data)
+            return y
+
+        monkeypatch.setattr(vitals.tensor, "relu", kept_relu)
+        tape, _, _, _ = self.step(tmp_path, by_reader=False)
+        c, n, h = self.CONFIG, self.N, self.CONFIG["hidden_dim"]
+        L = c["num_layers"]
+        assert len(outputs) == L * (c["num_decoders"] + 1)
+        for node in tape.nodes:
+            held = self.held(node)
+            assert not any(np.shares_memory(a, y) for a in held for y in outputs), node.op
+            if node.op == "relu":
+                assert sum(a.nbytes for a in held) <= -(-n * h // 8)
+        inputs = [next(a for a in self.held(node) if a.shape == (n, h))
+                  for node in tape.nodes if node.op == "dilated_conv1d"]
+        attentions = [node for node in tape.nodes if node.op == "chunked_attention"]
+        assert len(inputs) == len(attentions) == len(outputs)
+        for i, node in enumerate(attentions):
+            # a decoder's first block reads the stage embedding
+            allowed = {id(inputs[i])} | ({id(inputs[i - i % L])} if i >= L else set())
+            reached = {id(a) for a in self.held(node) if a.shape == (n, h)}
+            assert reached == allowed, i
+
     def test_model_never_concatenates(self, tmp_path, monkeypatch):
         def refuse(tensors):
             raise AssertionError("concat_cols called")
@@ -325,6 +358,63 @@ class TestTrainingTape:
         c = ModelConfig(**self.CONFIG)
         E = Tensor(np.ones((self.N, c.input_dim), dtype=np.float32))
         model_forward(E, init_params(c, 0), c)
+
+
+def _block_holding_f(x, query, params, prefix, size, config, training, rng, out=None):
+    """`_block` as it was before attention rebuilt its conv input: the
+    attention node holds the relu output f."""
+    f = T.relu(T.add_row(T.dilated_conv1d(x, params[f"{prefix}.conv.weight"], size),
+                         params[f"{prefix}.conv.bias"]))
+    maps = (params[f"{prefix}.attn.{p}"] for p in ("wq", "wk", "wv", "wo"))
+    a = T.dropout(T.chunked_attention(f if query is None else query, f, size, *maps),
+                  config.dropout_rate, rng, training)
+    if out is None:
+        return T.add(x, a)
+    np.add(x.data, a.data, out=out)
+    return T.record("add", [x, a], Tensor(out), lambda dout: (dout, dout))
+
+
+class TestBlockRebuild:
+    # n=1 and 2 give the conv no frame with a neighbour (n=1 not even the two
+    # rows it multiplies for them), n=3 one frame, taken from two rows;
+    # windows up to 1024 put n=1300 and 2100 in several groups
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 240, 1300, 2100])
+    def test_rebuild_bits_match_a_block_that_holds_f(self, n, dtype, dropout, monkeypatch):
+        """One training step's per-stage logits and parameter gradients, bit for
+        bit, sign bits included, against blocks whose attention holds f; the
+        rebuild runs the conv once more per block, in backward."""
+        c = ModelConfig(num_phases=4, input_dim=5, hidden_dim=8, num_layers=10,
+                        num_decoders=1, dropout_rate=dropout)
+        rng = np.random.default_rng(n)
+        E = rng.standard_normal((n, c.input_dim)).astype(dtype)
+        labels = rng.integers(0, c.num_phases, size=n)
+        conv, convs = T.conv, []
+
+        def counted_conv(*args):
+            convs.append(1)
+            return conv(*args)
+
+        monkeypatch.setattr(T, "conv", counted_conv)
+
+        def step():
+            convs.clear()
+            params = {name: Tensor(p.data.astype(dtype), requires_grad=True)
+                      for name, p in init_params(c, 0).items()}
+            with Tape() as tape:
+                preds = model_forward(Tensor(E), params, c, training=True,
+                                      rng=np.random.default_rng(1))
+                loss = total_loss(preds, labels, c)
+            backward(tape, loss)
+            return ([z.data.tobytes() for z in preds.logits],
+                    [p.grad.tobytes() for p in params.values()], len(convs))
+
+        logits, grads, calls = step()
+        monkeypatch.setattr(vitals.model, "_block", _block_holding_f)
+        ref_logits, ref_grads, ref_calls = step()
+        assert logits == ref_logits and grads == ref_grads
+        assert calls == 2 * ref_calls == 2 * c.num_layers * (c.num_decoders + 1)
 
 
 def _dependency_cone_oracle(n, schedule):

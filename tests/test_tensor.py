@@ -258,15 +258,29 @@ class TestRelu:
         out = T.relu(Tensor([np.nan, -1.0]))
         assert np.isnan(out.data[0]) and out.data[1] == 0.0
 
-    def test_backward_holds_only_the_output(self):
-        """The gate is read from the output in backward: the node keeps the
-        array the next ops already hold, and no bool mask."""
+    def test_backward_holds_only_the_packed_gate(self, monkeypatch):
+        """The node keeps its gate y > 0 bit-packed, one uint8 array of
+        ceil(n*h/8) bytes, and not the output, which dies with its tensor;
+        an untracked input packs no gate."""
         x = t64(np.random.default_rng(16).standard_normal((7, 5)))
         with Tape() as tape:
             out = T.relu(x)
-        held = [cell.cell_contents for cell in tape.nodes[-1].backward_fn.__closure__]
-        assert len(held) == 1 and isinstance(held[0], np.ndarray)
-        assert np.shares_memory(held[0], out.data) and held[0].dtype != bool
+        held = [cell.cell_contents for cell in tape.nodes[-1].backward_fn.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        assert len(held) == 1 and held[0].dtype == np.uint8 and held[0].nbytes == -(-35 // 8)
+        np.testing.assert_array_equal(held[0], np.packbits(out.data > 0))
+        output = weakref.ref(out.data)
+        del out
+        assert output() is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("packbits called")
+
+        monkeypatch.setattr(np, "packbits", refuse)
+        with Tape() as tape:
+            T.relu(t64(x.data, grad=False))
+        T.relu(x)
+        assert tape.nodes == []
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gradient_is_the_input_gate(self, dtype):
@@ -480,14 +494,14 @@ class TestStepMemory:
             # attention rebuilds its output in backward, so no node holds it
             for ref in refs["dilated_conv1d"] + refs["dropout"] + refs["chunked_attention"]:
                 assert ref() is None
-            # arrays a backward reads stay: relu outputs feed the attention node,
-            # which projects them again in backward; no q/k/v matmul node sits
-            # between the two, and no wo matmul node follows it
+            # relu outputs feed the attention node, which rebuilds them from the
+            # block input in backward, so they die too; no q/k/v matmul node
+            # sits between the two, and no wo matmul node follows it
             assert [ops[i + 1] for i, op in enumerate(ops) if op == "relu"] == \
                 ["chunked_attention"] * 4
             assert [ops[i + 1] for i, op in enumerate(ops) if op == "chunked_attention"] == \
                 ["dropout"] * 4
-            assert all(ref() is not None for ref in refs["relu"])
+            assert len(refs["relu"]) == 4 and all(ref() is None for ref in refs["relu"])
             backward(tape, loss)
         finally:
             if enabled:
@@ -515,13 +529,16 @@ class TestStepMemory:
     def test_mid_config_step_peak(self):
         """tracemalloc peak of one train step at n=1200, d=h=64, L=10, N=3.
 
-        Measured on numpy 2.4: 54.9 MB with 276 tape nodes; 67.6 MB when the
-        wo matmul node held every block's attention output, 107.4 MB when
-        every block's q, k and v projections were also held for backward,
-        164.8 MB when every attention node also kept its n x w weights, and
-        271.3 MB when every node also pinned its output and inputs and conv
-        and dropout kept copies. The bound sits between the first two, so a
-        return of any fails.
+        Measured on numpy 2.4.6 (2 vCPUs): 38.1 MB with 276 tape nodes; 49.7 MB
+        when relu and attention held every block's relu output. Earlier, on
+        numpy 2.4: 54.9 MB when the fusion input was also a second copy of
+        the encoder block outputs and dropout masks were byte-wide, 67.6 MB
+        when the wo matmul node also held every block's attention output,
+        107.4 MB when every block's q, k and v projections were also held
+        for backward, 164.8 MB when every attention node also kept its n x w
+        weights, and 271.3 MB when every node also pinned its output and
+        inputs and conv and dropout kept copies. The bound sits between the
+        first two, so a return of any fails.
         """
         config = ModelConfig(num_phases=7, input_dim=64, hidden_dim=64, num_layers=10,
                              num_decoders=3)
@@ -541,7 +558,7 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert nodes == 276
-        assert peak < 62e6, f"step peak {peak / 1e6:.1f} MB"
+        assert peak < 44e6, f"step peak {peak / 1e6:.1f} MB"
 
 
 def attend(u, f, window, wq=None, wk=None, wv=None, wo=None):
@@ -549,6 +566,15 @@ def attend(u, f, window, wq=None, wk=None, wv=None, wo=None):
     eye = np.eye(u.shape[1], dtype=np.float32)
     maps = [eye if m is None else m for m in (wq, wk, wv, wo)]
     return T.chunked_attention(Tensor(u), Tensor(f), window, *map(Tensor, maps))
+
+
+# up to (257, 16) every chunk fits in one group of 2^18 scores; (1536, 256),
+# (1536, 512) and (4096, 128) span several groups with no tail; (2100, 128)
+# and (1300, 512) put the padded tail in a group alone, (2500, 128) and
+# (1300, 256) beside full chunks; a w=1024 chunk is larger than a group
+ATTENTION_GRID = [(1, 1), (1, 4), (7, 2), (9, 2), (12, 4), (13, 4), (10, 3), (5, 8), (6, 6),
+                  (300, 64), (257, 16), (1536, 256), (1536, 512), (4096, 128), (2100, 128),
+                  (1300, 512), (2500, 128), (1300, 256), (1100, 1024)]
 
 
 class TestChunkedAttention:
@@ -642,15 +668,8 @@ class TestChunkedAttention:
         assert out.data.shape == (n, h)
         assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
-    # up to (257, 16) every chunk fits in one group of 2^18 scores; (1536, 256),
-    # (1536, 512) and (4096, 128) span several groups with no tail; (2100, 128)
-    # and (1300, 512) put the padded tail in a group alone, (2500, 128) and
-    # (1300, 256) beside full chunks; a w=1024 chunk is larger than a group
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n,window", [(1, 1), (1, 4), (7, 2), (9, 2), (12, 4), (13, 4),
-                                          (10, 3), (5, 8), (6, 6), (300, 64), (257, 16),
-                                          (1536, 256), (1536, 512), (4096, 128), (2100, 128),
-                                          (1300, 512), (2500, 128), (1300, 256), (1100, 1024)])
+    @pytest.mark.parametrize("n,window", ATTENTION_GRID)
     def test_bits_match_reference(self, n, window, dtype):
         """The op's output and gradients, bit for bit, against the reference
         attention of separately computed projections, then the wo matmul,
@@ -666,14 +685,31 @@ class TestChunkedAttention:
                          [u, f, wq, wk, wv, wo], dout),
             (out @ wo, ref_grads))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,window", ATTENTION_GRID)
+    def test_rebuild_bits_match_held_inputs(self, n, window, dtype):
+        """A node that reads u and f through a `rebuild` of fresh copies gives
+        the output and all seven gradients bit for bit as a node without one,
+        which holds u's and f's own arrays."""
+        rng = np.random.default_rng(n * 1000 + window)
+        u, f, dout = (rng.standard_normal((n, 8)).astype(dtype) for _ in range(3))
+        maps = [rng.standard_normal((8, 8)).astype(dtype) for _ in range(4)]
+        runs = []
+        for rebuild in (None, lambda: (u.copy(), f.copy())):
+            out, grads = op_and_grads(
+                lambda *t: T.chunked_attention(t[0], t[1], window, *t[2:], rebuild=rebuild),
+                [u, f, *maps], dout)
+            runs.append([(a.dtype, a.tobytes()) for a in (out, *grads)])
+        assert len(runs[0]) == 8 and runs[0] == runs[1]
+
     @pytest.mark.parametrize("n,window,keeps_weights", [(1300, 512, False), (300, 64, True)])
     def test_node_holds_weights_only_within_one_group(self, n, window, keeps_weights):
-        """The arrays a node's backward closure holds, walked one level deep as
-        perfbench's tape walk does: u and f, the four h x h maps and a
-        softmax max and sum per padded row, and no projection or attention
-        output: no other array of n rows or of whole w x h chunks. Only a
-        node whose chunks all fit in one group also keeps their w x w
-        weights."""
+        """The arrays a node's backward closure holds, walked through lists,
+        tuples and the closures of the functions it holds: u and f, which
+        the default rebuild returns, the four h x h maps and a softmax max
+        and sum per padded row, and no projection or attention output: no
+        other array of n rows or of whole w x h chunks. Only a node whose
+        chunks all fit in one group also keeps their w x w weights."""
         h, nc = 8, -(-n // window)
         u, f = (Tensor(np.full((n, h), c, np.float32), requires_grad=True) for c in (1, 2))
         maps = [Tensor(np.eye(h, dtype=np.float32), requires_grad=True) for _ in range(4)]
@@ -688,9 +724,11 @@ class TestChunkedAttention:
             elif isinstance(value, np.ndarray):
                 base = value if value.base is None else value.base
                 held[id(base)] = base
+            elif callable(value):
+                for cell in value.__closure__ or ():
+                    walk(cell.cell_contents)
 
-        for cell in tape.nodes[-1].backward_fn.__closure__:
-            walk(cell.cell_contents)
+        walk(tape.nodes[-1].backward_fn)
         assert any(a is u.data for a in held.values()) and any(a is f.data for a in held.values())
         others = [a for a in held.values() if a is not u.data and a is not f.data]
         assert not any(len(a) in (n, nc * window) or a.shape[-2:] == (window, h) for a in others)
